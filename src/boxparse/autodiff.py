@@ -1,6 +1,6 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-Only the operations the encoders and the three-stage decoder compose are
+Only the operations a recurrent attention encoder-decoder composes are
 provided: matmul, concat, elementwise add/mul, tanh, sigmoid, dot,
 embedding lookup, masked softmax and softmax cross-entropy, and reductions.
 No broadcasting beyond row-bias addition and scalar scaling.
@@ -26,10 +26,6 @@ def set_dtype(dtype) -> None:
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ShapeError(f"unsupported dtype {dtype!r}")
     _DTYPE = dt.type
-
-
-def get_dtype():
-    return _DTYPE
 
 
 class Tensor:
@@ -62,9 +58,6 @@ class Tensor:
             self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -366,36 +359,10 @@ def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
     return norm
 
 
-class AdamState:
-    """First/second moment estimates and step counter for one parameter set."""
-
-    def __init__(self, params: list[Tensor]):
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
-        self.t = 0
-
-
-def adam_step(params: list[Tensor], state: AdamState, lr: float = 1e-3,
-              betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> None:
-    """One Adam update in place; tensors with requires_grad=False are skipped."""
-    b1, b2 = betas
-    state.t += 1
-    t = state.t
-    for i, p in enumerate(params):
-        if not p.requires_grad:
-            continue
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * (g * g)
-        m_hat = state.m[i] / (1 - b1 ** t)
-        v_hat = state.v[i] / (1 - b2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
 class Adam:
-    """Object wrapper around :func:`adam_step` bound to one parameter list."""
+    """Adam over one parameter list: first/second moment estimates and a step
+    counter. ``step`` updates in place and skips tensors with
+    requires_grad=False."""
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
@@ -403,10 +370,24 @@ class Adam:
         self.lr = lr
         self.betas = betas
         self.eps = eps
-        self.state = AdamState(self.params)
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = 0
 
     def step(self) -> None:
-        adam_step(self.params, self.state, self.lr, self.betas, self.eps)
+        b1, b2 = self.betas
+        self.t += 1
+        for i, p in enumerate(self.params):
+            if not p.requires_grad:
+                continue
+            g = p.grad
+            if g is None:
+                g = np.zeros_like(p.data)
+            self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1 - b2) * (g * g)
+            m_hat = self.m[i] / (1 - b1 ** self.t)
+            v_hat = self.v[i] / (1 - b2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Union
+from functools import cached_property
+from typing import Union
 
 from .errors import (
     AmbiguousMerge,
@@ -36,6 +37,7 @@ from .errors import (
     DataError,
     DuplicateReferent,
     EmptyInput,
+    PairingError,
     UnboundVariable,
     UnknownOperator,
 )
@@ -127,22 +129,16 @@ class Drs:
     relations: tuple[tuple[str, str, str], ...] = ()
     top: str = "b1"
 
+    @cached_property
+    def _by_id(self) -> dict[str, Box]:
+        # reversed, so that the first of several boxes sharing an id wins
+        return {b.id: b for b in reversed(self.boxes)}
+
     def box(self, box_id: str) -> Box:
-        for b in self.boxes:
-            if b.id == box_id:
-                return b
-        raise DataError(f"no box {box_id!r}")
-
-    def box_ids(self) -> list[str]:
-        return [b.id for b in self.boxes]
-
-
-def operator_children(box: Box) -> list[str]:
-    out = []
-    for c in box.conditions:
-        if isinstance(c, Operator):
-            out.extend(c.boxes)
-    return out
+        try:
+            return self._by_id[box_id]
+        except KeyError:
+            raise DataError(f"no box {box_id!r}") from None
 
 
 def parent_map(d: Drs) -> dict[str, str]:
@@ -155,10 +151,13 @@ def parent_map(d: Drs) -> dict[str, str]:
     """
     operator_embedded: dict[str, str] = {}
     for b in d.boxes:
-        for child in operator_children(b):
-            if child in operator_embedded:
-                raise DataError(f"box {child} embedded under several operators")
-            operator_embedded[child] = b.id
+        for c in b.conditions:
+            if not isinstance(c, Operator):
+                continue
+            for child in c.boxes:
+                if child in operator_embedded:
+                    raise DataError(f"box {child} embedded under several operators")
+                operator_embedded[child] = b.id
     parents = dict(operator_embedded)
     for _label, a, bb in d.relations:
         for child in (a, bb):
@@ -176,43 +175,25 @@ def _ancestor_chain(box_id: str, parents: dict[str, str]) -> list[str]:
     while cur in parents:
         cur = parents[cur]
         if cur in seen:
-            raise CyclicStructure(f"box {box_id} is its own ancestor")
+            raise CyclicStructure(f"box {cur} is its own ancestor")
         seen.add(cur)
         chain.append(cur)
     return chain
 
 
-def accessible_boxes(d: Drs, box_id: str, parents: dict[str, str] | None = None) -> list[str]:
-    """Boxes whose referents a condition in ``box_id`` may use.
-
-    The box itself, its nesting ancestors, antecedent boxes of IMP/DUP
-    operators on the chain, and all presupposed boxes (presuppositions
-    project globally until merged).
-    """
-    if parents is None:
-        parents = parent_map(d)
-    chain = _ancestor_chain(box_id, parents)
-    out = list(chain)
-    chain_set = set(chain)
-    for b in d.boxes:
-        for c in b.conditions:
-            if isinstance(c, Operator) and c.op in ("IMP", "DUP") and len(c.boxes) == 2:
-                antecedent, consequent = c.boxes
-                if consequent in chain_set and antecedent not in chain_set:
-                    out.append(antecedent)
-                    # referents of boxes nested inside the antecedent stay private
-    for b in d.boxes:
-        if b.presupposed and b.id not in chain_set and b.id not in out:
-            out.append(b.id)
-    return out
-
-
 def validate(d: Drs) -> Drs:
-    """Check every structural invariant; returns ``d`` unchanged on success."""
-    ids = d.box_ids()
-    if len(set(ids)) != len(ids):
+    """Check every structural invariant; returns ``d`` unchanged on success.
+
+    Scope rule: a condition in box B may use a referent when the box that
+    declares it is open at B or is presupposed (presuppositions project
+    globally until merged). The open boxes at B are B and its nesting
+    ancestors, plus the antecedent of every IMP/DUP whose consequent is
+    among them; boxes nested inside an antecedent stay private. Every box
+    must descend from the top or a presupposed box, and nesting is acyclic.
+    """
+    if len({b.id for b in d.boxes}) != len(d.boxes):
         raise DataError("duplicate box ids")
-    known = set(ids)
+    known = d._by_id
     if d.top not in known:
         raise DataError(f"top box {d.top!r} does not exist")
     declared: dict[str, str] = {}
@@ -242,26 +223,36 @@ def validate(d: Drs) -> Drs:
         if d.top in (a, bb):
             raise DataError("discourse relations may not reference the top box")
     parents = parent_map(d)
-    reachable = set()
-    roots = [d.top] + [b.id for b in d.boxes if b.presupposed]
-    stack = list(roots)
+    roots = [b for b in d.boxes if b.id not in parents]
+    stray = [b.id for b in roots if b.id != d.top and not b.presupposed]
+    if stray:
+        raise DataError(f"boxes unreachable from top: {sorted(stray)}")
     children: dict[str, list[str]] = {}
     for child, par in parents.items():
         children.setdefault(par, []).append(child)
+    presupposed = {b.id for b in d.boxes if b.presupposed}
+
+    # Depth-first from the roots. A stack entry opens a box (and the
+    # antecedent it may see); an entry with an empty id closes what its
+    # partner opened once the box's subtree is done.
+    open_boxes: set[str] = set()
+    visited: set[str] = set()
+    stack: list[tuple[str, tuple[str, ...]]] = [(b.id, ()) for b in reversed(roots)]
     while stack:
-        cur = stack.pop()
-        if cur in reachable:
+        box_id, opens = stack.pop()
+        if not box_id:
+            open_boxes.difference_update(opens)
             continue
-        reachable.add(cur)
-        stack.extend(children.get(cur, ()))
-    if reachable != known:
-        missing = sorted(known - reachable)
-        raise DataError(f"boxes unreachable from top: {missing}")
-    for b in d.boxes:
-        _ancestor_chain(b.id, parents)  # raises CyclicStructure on cycles
-        access = None
+        visited.add(box_id)
+        opens = (box_id,) + opens
+        open_boxes.update(opens)
+        stack.append(("", opens))
+        b = known[box_id]
+        antecedent: dict[str, str] = {}
         for c in b.conditions:
             if isinstance(c, Operator):
+                if c.op in ("IMP", "DUP"):
+                    antecedent[c.boxes[1]] = c.boxes[0]
                 continue
             if isinstance(c, Unary) and is_constant(c.argument):
                 raise DataError(f"unary predicate {c.predicate} takes a variable, "
@@ -271,11 +262,18 @@ def validate(d: Drs) -> Drs:
                     continue
                 if not is_variable(arg):
                     raise DataError(f"argument {arg!r} is neither a variable nor a quoted constant")
-                if access is None:
-                    access = {v for bid in accessible_boxes(d, b.id, parents)
-                              for v in d.box(bid).referents}
-                if arg not in access:
+                home = declared.get(arg)
+                if home not in open_boxes and home not in presupposed:
                     raise UnboundVariable(f"variable {arg} used in box {b.id} but not accessible")
+        for child in reversed(children.get(box_id, ())):
+            stack.append((child, (antecedent[child],) if child in antecedent else ()))
+    if len(visited) != len(d.boxes):
+        # The rest lie on or below a nesting cycle. They are unreachable
+        # unless the top or a presupposed box is among them.
+        rest = [b for b in d.boxes if b.id not in visited]
+        if not any(b.id == d.top or b.presupposed for b in rest):
+            raise DataError(f"boxes unreachable from top: {sorted(b.id for b in rest)}")
+        _ancestor_chain(rest[0].id, parents)  # raises CyclicStructure
     return d
 
 
@@ -322,25 +320,25 @@ def parse_clause_document(text: str) -> ClauseDocument:
     if not clause_lines:
         raise EmptyInput("no clause lines")
 
-    order: list[str] = []
-    referents: dict[str, list[str]] = {}
-    conditions: dict[str, list[Condition]] = {}
+    # Boxes are ordered by the first line each hosts, then boxes that host
+    # none, in order of first mention: the order format_clauses writes.
+    hosted: dict[str, tuple[list[str], list[Condition]]] = {}
+    mentioned: dict[str, None] = {}
+    embedded: set[str] = set()
     relations: list[tuple[str, str, str]] = []
     relation_hosts: list[str] = []
 
     def touch(box_id: str) -> None:
         if not is_box_id(box_id):
             raise DataError(f"bad box id {box_id!r}")
-        if box_id not in order:
-            order.append(box_id)
-            referents[box_id] = []
-            conditions[box_id] = []
+        mentioned[box_id] = None
 
     for toks in clause_lines:
         if len(toks) < 3:
             raise DataError(f"clause too short: {' '.join(toks)!r}")
         host = toks[0]
         touch(host)
+        referents, conditions = hosted.setdefault(host, ([], []))
         kw = toks[1]
         args = toks[2:]
         if kw == "REF":
@@ -348,32 +346,39 @@ def parse_clause_document(text: str) -> ClauseDocument:
                 raise DataError("REF takes one variable")
             if not is_variable(args[0]):
                 raise DataError(f"bad referent name {args[0]!r}")
-            referents[host].append(args[0])
+            referents.append(args[0])
         elif kw in OPERATORS:
             for a in args:
                 touch(a)
-            conditions[host].append(Operator(kw, tuple(args)))
+            embedded.update(args)
+            conditions.append(Operator(kw, tuple(args)))
         elif kw.isupper() and len(kw) > 1:
             if len(args) == 2 and is_box_id(args[0]) and is_box_id(args[1]):
                 for a in args:
                     touch(a)
+                embedded.update(args)
                 relations.append((kw, args[0], args[1]))
                 relation_hosts.append(host)
             else:
                 raise UnknownOperator(f"unknown operator {kw!r}")
         elif len(args) == 1:
-            conditions[host].append(Unary(kw, args[0]))
+            conditions.append(Unary(kw, args[0]))
         elif len(args) == 2:
-            conditions[host].append(Binary(kw, args[0], args[1]))
+            conditions.append(Binary(kw, args[0], args[1]))
         else:
             raise DataError(f"predicate clause with {len(args)} arguments")
+    for box_id in mentioned:
+        hosted.setdefault(box_id, ([], []))
 
-    top = order[0]
+    # the first box that is neither presupposed nor embedded; validate
+    # rejects the fallback when it cannot be the top
+    top = next((b for b in hosted if not b.startswith("p") and b not in embedded),
+               next(iter(hosted)))
     for host in relation_hosts:
         if host != top:
             raise DataError(f"relation hosted at {host}, expected top box {top}")
-    boxes = tuple(Box(id=b, referents=tuple(referents[b]), conditions=tuple(conditions[b]),
-                      presupposed=b.startswith("p")) for b in order)
+    boxes = tuple(Box(id=b, referents=tuple(refs), conditions=tuple(conds),
+                      presupposed=b.startswith("p")) for b, (refs, conds) in hosted.items())
     d = Drs(boxes=boxes, relations=tuple(relations), top=top)
     return ClauseDocument(drs=validate(d), alignments=tuple(alignments),
                           comments=tuple(comments))
@@ -409,7 +414,8 @@ def format_clauses(doc: ClauseDocument | Drs) -> str:
         out.append(f"% {rec.token} {rec.predicate}" + (" head" if rec.head else ""))
     for label, a, b in d.relations:
         out.append(f"{d.top} {label} {a} {b}")
-    # top box first: the parser takes the first-mentioned box as top
+    # top box first: its relation lines come first, and the parser orders
+    # boxes by the first line each hosts
     boxes = sorted(d.boxes, key=lambda b: b.id != d.top)
     for box in boxes:
         for v in box.referents:
@@ -434,42 +440,30 @@ def merge_presuppositions(d: Drs) -> Drs:
     A presupposed box with exactly one consumer (or whose consumers form an
     ancestor chain) merges into the consumer nearest the top; one that is
     structurally referenced or consumed by unrelated boxes raises
-    AmbiguousMerge. Idempotent: a DRS with no presupposed boxes is returned
-    as-is.
+    AmbiguousMerge. Presupposed boxes merge in document order, and a
+    target's referents and conditions are extended in that order.
+    Idempotent: a DRS with no presupposed boxes is returned as-is.
     """
     if not any(b.presupposed for b in d.boxes):
         return d
-    current = d
-    while True:
-        pending = [b for b in current.boxes if b.presupposed]
-        if not pending:
-            break
-        box = pending[0]
-        if box.id == current.top:
-            boxes = tuple(replace(b, presupposed=False) if b.id == box.id else b
-                          for b in current.boxes)
-            current = Drs(boxes=boxes, relations=current.relations, top=current.top)
+    parents = parent_map(d)
+    home = {v: b.id for b in d.boxes for v in b.referents}
+    # box id -> boxes declaring the variables its conditions use
+    uses = {b.id: {home.get(arg) for c in b.conditions if not isinstance(c, Operator)
+                   for arg in c.args if not is_constant(arg)} for b in d.boxes}
+    added: dict[str, tuple[list[str], list[Condition]]] = {}
+    for box in d.boxes:
+        if not box.presupposed or box.id == d.top:
             continue
-        structurally_referenced = any(box.id in operator_children(b) for b in current.boxes)
-        structurally_referenced |= any(box.id in (a, bb) for _l, a, bb in current.relations)
-        if structurally_referenced:
+        if box.id in parents:
             raise AmbiguousMerge(
                 f"presupposed box {box.id} is referenced by an operator or relation")
-        owned = set(box.referents)
-        consumers = []
-        for other in current.boxes:
-            if other.id == box.id:
-                continue
-            used = {arg for c in other.conditions if not isinstance(c, Operator)
-                    for arg in c.args if not is_constant(arg)}
-            if used & owned:
-                consumers.append(other.id)
+        consumers = [x for x, used in uses.items() if box.id in used and x != box.id]
         if not consumers:
-            target = current.top
+            target = d.top
         elif len(consumers) == 1:
             target = consumers[0]
         else:
-            parents = parent_map(current)
             chains = {c: set(_ancestor_chain(c, parents)) for c in consumers}
             target = None
             for c in consumers:
@@ -478,20 +472,30 @@ def merge_presuppositions(d: Drs) -> Drs:
             if target is None:
                 raise AmbiguousMerge(
                     f"presupposed box {box.id} consumed by unrelated boxes {sorted(consumers)}")
-        new_boxes = []
-        for other in current.boxes:
-            if other.id == box.id:
-                continue
-            if other.id == target:
-                new_boxes.append(replace(
-                    other,
-                    referents=other.referents + box.referents,
-                    conditions=other.conditions + box.conditions))
-            else:
-                new_boxes.append(other)
-        current = Drs(boxes=tuple(new_boxes), relations=current.relations, top=current.top)
+        referents, conditions = added.pop(box.id, ((), ()))
+        referents = [*box.referents, *referents]
+        conditions = [*box.conditions, *conditions]
+        into_referents, into_conditions = added.setdefault(target, ([], []))
+        into_referents += referents
+        into_conditions += conditions
+        for c in conditions:
+            if isinstance(c, Operator):
+                for child in c.boxes:
+                    parents[child] = target
+        uses[target] |= uses.pop(box.id)
+        for x in consumers:
+            uses[x].add(target)  # the box's referents now live in target
+    boxes = []
+    for b in d.boxes:
+        if b.id not in uses:
+            continue  # merged away
+        if b.id in added or b.presupposed:
+            referents, conditions = added.get(b.id, ((), ()))
+            b = replace(b, referents=b.referents + tuple(referents),
+                        conditions=b.conditions + tuple(conditions), presupposed=False)
+        boxes.append(b)
     try:
-        return validate(current)
+        return validate(Drs(boxes=tuple(boxes), relations=d.relations, top=d.top))
     except (UnboundVariable, DataError) as e:
         raise AmbiguousMerge(f"merging presupposed boxes broke accessibility: {e}") from e
 
@@ -532,8 +536,11 @@ def revert_predicates(d: Drs, annotation) -> tuple[Drs, int]:
                     if recs:
                         heads = [r for r in recs if r.head]
                         chosen = min(heads or recs, key=lambda r: r.token)
-                        lemma = annotation.lemmas[chosen.token]
-                        conds.append(replace(c, predicate=lemma))
+                        if not 0 <= chosen.token < len(annotation.lemmas):
+                            raise PairingError(
+                                f"alignment token {chosen.token} of {c.predicate} is outside "
+                                f"the {len(annotation.lemmas)} lemmas")
+                        conds.append(replace(c, predicate=annotation.lemmas[chosen.token]))
                         continue
                     warnings += 1
             conds.append(c)
@@ -575,10 +582,3 @@ def canonicalize_variables(d: Drs) -> Drs:
                          presupposed=b.presupposed))
     relations = tuple((label, box_map[a], box_map[bb]) for label, a, bb in d.relations)
     return Drs(boxes=tuple(boxes), relations=relations, top=box_map[d.top])
-
-
-def iter_unary_labels(d: Drs) -> Iterable[str]:
-    for b in d.boxes:
-        for c in b.conditions:
-            if isinstance(c, Unary):
-                yield c.predicate

@@ -1,7 +1,10 @@
 """Exception taxonomy.
 
-Exit-code mapping used by the CLI: ConfigError family -> 2, DataError
-family -> 3, NumericError family -> 4.
+``BoxparseError`` is the root, and ``DataError``, ``ConfigError`` and
+``NumericError`` are the family bases. Every other class here is raised
+somewhere in the package. The planned command-line interface (ROADMAP
+item 5) maps the families to exit codes: ConfigError -> 2, DataError -> 3,
+NumericError -> 4.
 """
 
 
@@ -45,14 +48,6 @@ class MalformedTree(DataError):
     pass
 
 
-class MalformedConllu(DataError):
-    pass
-
-
-class DimensionMismatch(DataError):
-    pass
-
-
 class PairingError(DataError):
     pass
 
@@ -61,21 +56,9 @@ class ConfigError(BoxparseError):
     """Invalid configuration requested."""
 
 
-class UnsupportedFeatureCombination(ConfigError):
-    """Encoder/feature-mask combination that cannot be constructed."""
-
-
 class NumericError(BoxparseError):
     """Numerical failure: shape mismatch, NaN/Inf loss, failed gradient check."""
 
 
 class ShapeError(NumericError):
     pass
-
-
-class InternalContractViolation(NumericError):
-    """A decoder stage received inputs inconsistent with the previous stage."""
-
-
-class TruncatedOutput(BoxparseError):
-    """Decoding hit the length budget before the structure was closed."""

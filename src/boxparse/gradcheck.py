@@ -1,13 +1,14 @@
 """Central finite-difference gradient checking for composite modules.
 
-Used both by the test suite and by the ``boxparse gradcheck`` subcommand.
-The loss closure is re-run from scratch for every perturbation, so the
-analytic path and the numeric path share nothing but the parameter values.
+Used by the test suite; a ``gradcheck`` command-line subcommand is planned
+(ROADMAP item 5). The loss closure is re-run from scratch for every
+perturbation, so the analytic path and the numeric path share nothing but
+the parameter values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +28,6 @@ class GradCheckReport:
         return self.max_rel_error <= self.tolerance
 
 
-@dataclass
-class GradCheckSuiteReport:
-    reports: list[GradCheckReport] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.reports)
-
-
 def check_gradients(loss_fn, params: dict[str, ad.Tensor], name: str = "module",
                     h: float = 1e-4, tolerance: float = 1e-4,
                     sample_cap: int = 64, seed: int = 0) -> GradCheckReport:
@@ -44,6 +36,9 @@ def check_gradients(loss_fn, params: dict[str, ad.Tensor], name: str = "module",
     ``loss_fn`` must rebuild the graph on every call and return a scalar
     Tensor. At most ``sample_cap`` entries per parameter are perturbed
     (seeded choice), which covers every entry at the dims used in tests.
+    An entry's error is divided by the largest of its two values and the
+    parameter's largest analytic entry, so a gradient wrong by a constant
+    factor fails however small the parameter's gradients are.
     """
     for p in params.values():
         p.zero_grad()
@@ -60,6 +55,7 @@ def check_gradients(loss_fn, params: dict[str, ad.Tensor], name: str = "module",
         flat = p.data.reshape(-1)
         n = flat.shape[0]
         idxs = np.arange(n) if n <= sample_cap else rng.choice(n, size=sample_cap, replace=False)
+        floor = float(np.abs(analytic[key]).max()) or 1.0
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + h
@@ -69,7 +65,7 @@ def check_gradients(loss_fn, params: dict[str, ad.Tensor], name: str = "module",
             flat[i] = orig
             numeric = (up - down) / (2.0 * h)
             a = float(analytic[key].reshape(-1)[i])
-            denom = max(abs(a), abs(numeric), 1.0)
+            denom = max(abs(a), abs(numeric), floor)
             rel = abs(a - numeric) / denom
             n_checked += 1
             if rel > max_rel:

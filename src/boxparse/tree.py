@@ -174,8 +174,8 @@ class _Builder:
                     conditions.append(Operator(op, (child_id,)))
                 else:
                     first_id = self.read_box(subs[0], env)
-                    first_scope = self._scope_of(first_id)
-                    antecedent_env = env + ([first_scope] if op in ("IMP", "DUP") else [])
+                    antecedent_env = env + ([self._scopes[first_id]]
+                                            if op in ("IMP", "DUP") else [])
                     second_id = self.read_box(subs[1], antecedent_env)
                     conditions.append(Operator(op, (first_id, second_id)))
             else:
@@ -184,9 +184,6 @@ class _Builder:
                                conditions=tuple(conditions))
         self._scopes[box_id] = scope
         return box_id
-
-    def _scope_of(self, box_id: str) -> dict[str, str]:
-        return self._scopes[box_id]
 
     @staticmethod
     def _leaf_token(node: Node, want: int) -> list[str]:
@@ -224,8 +221,7 @@ def from_tree(t: DrsTree) -> Drs:
     if root.children[0].label != "DRS":
         raise MalformedTree("first SDRS child must be the top box")
     top = builder.read_box(root.children[0], [])
-    top_scope = builder._scope_of(top)
-    constituent_ids = [builder.read_box(c, [top_scope]) for c in drs_kids[1:]]
+    constituent_ids = [builder.read_box(c, [builder._scopes[top]]) for c in drs_kids[1:]]
     relations = []
     for rel in rel_kids:
         label, ka, kb = _Builder._leaf_token(rel, 3)

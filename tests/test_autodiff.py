@@ -122,9 +122,9 @@ class TestBackward:
         assert report.passed, report.worst
 
     def test_attention_like_graph_gradcheck(self):
-        # scale=1.0: at the default init scale the gradients through the
-        # scores are ~1e-4, below what check_gradients' max(|a|, |n|, 1)
-        # denominator can tell apart from a wrong concat backward.
+        # scale=1.0: the gradients through the scores are then of order 1,
+        # where a wrong concat backward shows by any measure (at the default
+        # init scale they are ~1e-4).
         rng = np.random.default_rng(11)
         params = {
             "wq": ad.uniform((3, 3), rng, scale=1.0),
@@ -142,6 +142,22 @@ class TestBackward:
 
         report = check_gradients(loss_fn, params, name="attention")
         assert report.passed, report.worst
+
+    def test_gradcheck_catches_wrong_small_gradient(self):
+        # every true gradient is 1e-5; the wrong backward halves it
+        w = ad.uniform((4,), np.random.default_rng(3))
+
+        def loss_fn(wrong):
+            y = ad.scale(w, 1e-5)
+            if wrong:
+                right = y._backward
+                y._backward = lambda g: right(0.5 * g)
+            return ad.reduce_sum(y)
+
+        assert check_gradients(lambda: loss_fn(False), {"w": w}).passed
+        report = check_gradients(lambda: loss_fn(True), {"w": w})
+        assert not report.passed
+        assert report.max_rel_error == pytest.approx(0.5, rel=1e-3)
 
 
 def _slice_scalar(vec, i):

@@ -31,8 +31,10 @@ from boxparse.errors import (
     DuplicateReferent,
     EmptyInput,
     UnboundVariable,
+    PairingError,
     UnknownOperator,
 )
+from boxparse.tree import from_tree, to_tree
 
 
 class SimpleAnnotation:
@@ -120,6 +122,13 @@ class TestParseClauses:
         assert again.drs == fig1_doc.drs
         assert again.alignments == fig1_doc.alignments
         assert format_clauses(again) == text
+        out = format_clauses(from_tree(to_tree(parse_clauses(FORMAT_PROBE))))
+        assert format_clauses(parse_clauses(out)) == out
+
+    def test_top_is_first_box_nothing_embeds(self):
+        d = parse_clauses("p1 REF x2\np1 cat x2\nb1 REF x1\nb1 dog x1\nb1 Owner x1 x2\n")
+        assert d.top == "b1"
+        assert [b.id for b in d.boxes] == ["p1", "b1"]
 
     def test_multi_document_file(self, fig1_doc):
         text = format_clauses(fig1_doc) + "\n" + "b1 REF e1\nb1 run.v.01 e1\n"
@@ -133,6 +142,21 @@ class TestParseClauses:
             d = random_drs(rng)
             assert parse_clauses(format_clauses(d)) == d
 
+
+# A discourse whose second constituent follows a box nested in the first:
+# from_tree numbers the boxes b1 b2 b3 b4, while b4 is mentioned before b3.
+FORMAT_PROBE = """\
+b1 CONTINUATION b2 b4
+b1 REF x1
+b1 Name x1 "tom"
+b2 NOT b3
+b3 REF e1
+b3 sleep.v.01 e1
+b3 Agent e1 x1
+b4 REF e2
+b4 run.v.01 e2
+b4 Agent e2 x1
+"""
 
 PRESUPPOSED = """\
 b1 CONTINUATION b2 b3
@@ -280,6 +304,12 @@ class TestRevertPredicates:
         reverted, warnings = revert_predicates(d, ann)
         assert reverted.box("b1").conditions == (Unary("open.v.01", "e1"),)
         assert warnings == 1
+
+    def test_alignment_past_lemmas_raises_pairing_error(self):
+        d = parse_clauses("b1 REF e1\nb1 open.v.01 e1\n")
+        ann = SimpleAnnotation(["a"], ["a"], [AlignmentRecord(1, "open", head=True)])
+        with pytest.raises(PairingError):
+            revert_predicates(d, ann)
 
 
 class TestValidate:
