@@ -18,8 +18,8 @@ Clause file format (UTF-8, LF, one clause per line, whitespace separated):
 
 Token conventions: box ids match ``[bp][0-9]+`` ('p' marks a presupposed
 box), variables match ``[xets][0-9]+``, operator and relation labels are
-fully uppercase, roles are capitalized, predicates lowercase. Multiple
-DRSs in one file are separated by blank lines.
+fully uppercase, roles are capitalized, predicates lowercase, and no
+label looks like a symbol. DRSs in one file are separated by blank lines.
 
 All values are immutable; every operation returns a new structure.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Union
+from typing import Iterable, Iterator, Union
 
 from .errors import (
     AmbiguousMerge,
@@ -49,6 +49,7 @@ OPERATORS = UNARY_OPERATORS | BINARY_OPERATORS
 
 _VAR_RE = re.compile(r"^([xets])([0-9]+)$")
 _BOX_RE = re.compile(r"^([bp])([0-9]+)$")
+_SYMBOL_RE = re.compile(r"^[xetsbp][0-9]+$")
 _SENSE_RE = re.compile(r"^([^.]+)\.[a-z]+\.[0-9]+$")
 
 
@@ -197,6 +198,7 @@ def validate(d: Drs) -> Drs:
     if d.top not in known:
         raise DataError(f"top box {d.top!r} does not exist")
     declared: dict[str, str] = {}
+    labels: set[str] = set()  # of unary predicates and binary roles
     for b in d.boxes:
         if len(set(b.referents)) != len(b.referents):
             raise DuplicateReferent(f"duplicate referent in box {b.id}")
@@ -216,6 +218,11 @@ def validate(d: Drs) -> Drs:
                 for ref in c.boxes:
                     if ref not in known:
                         raise DataError(f"operator references unknown box {ref!r}")
+            else:
+                labels.add(c.predicate if isinstance(c, Unary) else c.role)
+    bad = sorted(filter(_SYMBOL_RE.match, labels))
+    if bad:
+        raise DataError(f"labels spelled like symbols: {bad}")
     for label, a, bb in d.relations:
         for ref in (a, bb):
             if ref not in known:
@@ -299,12 +306,20 @@ _ALIGN_RE = re.compile(r"^%\s+(\d+)\s+(\S+)(\s+head)?\s*$")
 
 
 def parse_clause_document(text: str) -> ClauseDocument:
-    """Parse one clause block into a validated Drs plus alignment records."""
-    lines = text.splitlines()
+    """Parse one clause block into a validated Drs plus alignment records.
+
+    An error caused by one line starts with ``line N:``, counting every
+    line of ``text`` from 1.
+    """
+    return _parse_lines(enumerate(text.splitlines(), start=1))
+
+
+def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
     alignments: list[AlignmentRecord] = []
     comments: list[str] = []
     clause_lines: list[list[str]] = []
-    for raw in lines:
+    numbers: list[int] = []  # of the clause lines, for error messages
+    for n, raw in lines:
         line = raw.strip()
         if not line:
             continue
@@ -317,6 +332,7 @@ def parse_clause_document(text: str) -> ClauseDocument:
                 comments.append(line[1:].strip())
             continue
         clause_lines.append(line.split())
+        numbers.append(n)
     if not clause_lines:
         raise EmptyInput("no clause lines")
 
@@ -326,16 +342,16 @@ def parse_clause_document(text: str) -> ClauseDocument:
     mentioned: dict[str, None] = {}
     embedded: set[str] = set()
     relations: list[tuple[str, str, str]] = []
-    relation_hosts: list[str] = []
+    relation_hosts: list[tuple[int, str]] = []
 
     def touch(box_id: str) -> None:
         if not is_box_id(box_id):
-            raise DataError(f"bad box id {box_id!r}")
+            raise DataError(f"line {n}: bad box id {box_id!r}")
         mentioned[box_id] = None
 
-    for toks in clause_lines:
+    for n, toks in zip(numbers, clause_lines):
         if len(toks) < 3:
-            raise DataError(f"clause too short: {' '.join(toks)!r}")
+            raise DataError(f"line {n}: clause too short: {' '.join(toks)!r}")
         host = toks[0]
         touch(host)
         referents, conditions = hosted.setdefault(host, ([], []))
@@ -343,9 +359,9 @@ def parse_clause_document(text: str) -> ClauseDocument:
         args = toks[2:]
         if kw == "REF":
             if len(args) != 1:
-                raise DataError("REF takes one variable")
+                raise DataError(f"line {n}: REF takes one variable")
             if not is_variable(args[0]):
-                raise DataError(f"bad referent name {args[0]!r}")
+                raise DataError(f"line {n}: bad referent name {args[0]!r}")
             referents.append(args[0])
         elif kw in OPERATORS:
             for a in args:
@@ -358,15 +374,15 @@ def parse_clause_document(text: str) -> ClauseDocument:
                     touch(a)
                 embedded.update(args)
                 relations.append((kw, args[0], args[1]))
-                relation_hosts.append(host)
+                relation_hosts.append((n, host))
             else:
-                raise UnknownOperator(f"unknown operator {kw!r}")
+                raise UnknownOperator(f"line {n}: unknown operator {kw!r}")
         elif len(args) == 1:
             conditions.append(Unary(kw, args[0]))
         elif len(args) == 2:
             conditions.append(Binary(kw, args[0], args[1]))
         else:
-            raise DataError(f"predicate clause with {len(args)} arguments")
+            raise DataError(f"line {n}: predicate clause with {len(args)} arguments")
     for box_id in mentioned:
         hosted.setdefault(box_id, ([], []))
 
@@ -374,9 +390,9 @@ def parse_clause_document(text: str) -> ClauseDocument:
     # rejects the fallback when it cannot be the top
     top = next((b for b in hosted if not b.startswith("p") and b not in embedded),
                next(iter(hosted)))
-    for host in relation_hosts:
+    for n, host in relation_hosts:
         if host != top:
-            raise DataError(f"relation hosted at {host}, expected top box {top}")
+            raise DataError(f"line {n}: relation hosted at {host}, expected top box {top}")
     boxes = tuple(Box(id=b, referents=tuple(refs), conditions=tuple(conds),
                       presupposed=b.startswith("p")) for b, (refs, conds) in hosted.items())
     d = Drs(boxes=boxes, relations=tuple(relations), top=top)
@@ -389,17 +405,31 @@ def parse_clauses(text: str) -> Drs:
 
 
 def parse_clause_documents(text: str) -> list[ClauseDocument]:
-    """Parse a file holding several DRSs separated by blank lines."""
-    blocks: list[list[str]] = [[]]
-    for line in text.splitlines():
+    """Parse a file holding several DRSs separated by blank lines; error
+    line numbers count from the start of the file."""
+    blocks: list[list[tuple[int, str]]] = [[]]
+    for n, line in enumerate(text.splitlines(), start=1):
         if line.strip():
-            blocks[-1].append(line)
+            blocks[-1].append((n, line))
         elif blocks[-1]:
             blocks.append([])
-    docs = [parse_clause_document("\n".join(b)) for b in blocks if b]
+    docs = [_parse_lines(b) for b in blocks if b]
     if not docs:
         raise EmptyInput("no clause blocks")
     return docs
+
+
+def box_clauses(box: Box) -> Iterator[tuple[str, ...]]:
+    """The clauses a box hosts, in file order: referents, then conditions."""
+    for v in box.referents:
+        yield (box.id, "REF", v)
+    for c in box.conditions:
+        if isinstance(c, Unary):
+            yield (box.id, c.predicate, c.argument)
+        elif isinstance(c, Binary):
+            yield (box.id, c.role, c.first, c.second)
+        else:
+            yield (box.id, c.op, *c.boxes)
 
 
 def format_clauses(doc: ClauseDocument | Drs) -> str:
@@ -418,15 +448,7 @@ def format_clauses(doc: ClauseDocument | Drs) -> str:
     # boxes by the first line each hosts
     boxes = sorted(d.boxes, key=lambda b: b.id != d.top)
     for box in boxes:
-        for v in box.referents:
-            out.append(f"{box.id} REF {v}")
-        for c in box.conditions:
-            if isinstance(c, Unary):
-                out.append(f"{box.id} {c.predicate} {c.argument}")
-            elif isinstance(c, Binary):
-                out.append(f"{box.id} {c.role} {c.first} {c.second}")
-            else:
-                out.append(f"{box.id} {c.op} {' '.join(c.boxes)}")
+        out.extend(map(" ".join, box_clauses(box)))
     return "\n".join(out) + "\n"
 
 

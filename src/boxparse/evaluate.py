@@ -3,9 +3,10 @@
 A DRS decomposes into a multiset of clauses; predicted and gold variables
 and box ids are alignment-subject symbols while labels and constants are
 fixed. The score searches for the injective, sort-respecting symbol map
-that maximizes matched clauses (hill-climbing with a greedy start and
-random restarts), then reports precision, recall and F1, plus a
-four-way category breakdown under the fixed best alignment.
+that maximizes matched clauses, then reports precision, recall and F1,
+plus a four-way category breakdown under the fixed best alignment. The
+search policy is fixed: hill climbing from a greedy start plus 19 random
+starts seeded with 0, keeping the best, so a pair always gets one score.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drs import Binary, Drs, Operator, Unary, variable_sort
+from .drs import OPERATORS, Drs, box_clauses, variable_sort
 from .errors import DataError
 
 Clause = tuple
 
 CATEGORIES = ("operators", "non_lexical_unary", "non_lexical_binary", "lexical")
+RESTARTS = 20  # climbs per pair: the greedy start, then random starts
+SEED = 0
 
 
 @dataclass(frozen=True)
@@ -70,24 +73,15 @@ class ScoreReport:
 
 
 def to_clauses(d: Drs) -> ClauseSet:
-    """Deterministic clause decomposition: one clause per referent,
-    condition and discourse relation."""
+    """Deterministic clause decomposition: the clauses the file format
+    writes, one per referent, condition and discourse relation."""
     clauses: list[Clause] = []
     sorts: dict[str, str] = {}
     for b in d.boxes:
         sorts[b.id] = "b"
-        for v in b.referents:
-            sorts[v] = variable_sort(v)
-            clauses.append((b.id, "REF", v))
-        for c in b.conditions:
-            if isinstance(c, Unary):
-                clauses.append((b.id, c.predicate, c.argument))
-            elif isinstance(c, Binary):
-                clauses.append((b.id, c.role, c.first, c.second))
-            else:
-                clauses.append((b.id, c.op) + c.boxes)
-    for label, a, bb in d.relations:
-        clauses.append(("REL", label, a, bb))
+        sorts.update((v, variable_sort(v)) for v in b.referents)
+        clauses.extend(box_clauses(b))
+    clauses.extend(("REL", *r) for r in d.relations)
     return ClauseSet(clauses=tuple(clauses), sorts=sorts)
 
 
@@ -104,8 +98,7 @@ def rename_clause(clause: Clause, sorts: dict[str, str], mapping: dict[str, str]
 
 
 def count_matches(pred: ClauseSet, gold: ClauseSet, mapping: dict[str, str]) -> int:
-    gold_counts = Counter(gold.clauses)
-    return _count_against(pred, gold_counts, mapping)
+    return _count_against(pred, Counter(gold.clauses), mapping)
 
 
 def _count_against(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str]) -> int:
@@ -117,9 +110,16 @@ def _clause_signature(clause: Clause, sorts: dict[str, str]) -> tuple:
     return tuple(("SYM", sorts[tok]) if tok in sorts else tok for tok in clause)
 
 
+def _by_sort(sorts: dict[str, str]) -> dict[str, list[str]]:
+    out: dict[str, list[str]] = {}
+    for s, sort in sorted(sorts.items()):
+        out.setdefault(sort, []).append(s)
+    return out
+
+
 def _smart_init(pred: ClauseSet, gold: ClauseSet) -> dict[str, str]:
     """Greedy seed: vote for symbol pairs implied by clauses whose fixed
-    parts already agree."""
+    parts already agree. Equal signatures pair symbols of one sort."""
     gold_by_sig: dict[tuple, list[Clause]] = {}
     for c in gold.clauses:
         gold_by_sig.setdefault(_clause_signature(c, gold.sorts), []).append(c)
@@ -133,107 +133,82 @@ def _smart_init(pred: ClauseSet, gold: ClauseSet) -> dict[str, str]:
     mapping: dict[str, str] = {}
     used_gold: set[str] = set()
     for (p, g), _n in sorted(votes.items(), key=lambda kv: (-kv[1], kv[0])):
-        if p not in mapping and g not in used_gold and pred.sorts[p] == gold.sorts[g]:
+        if p not in mapping and g not in used_gold:
             mapping[p] = g
             used_gold.add(g)
     return mapping
 
 
-def _random_init(pred: ClauseSet, gold: ClauseSet, rng: np.random.Generator) -> dict[str, str]:
+def _random_init(pred_by_sort: dict[str, list[str]], gold_by_sort: dict[str, list[str]],
+                 rng: np.random.Generator) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    pred_by_sort: dict[str, list[str]] = {}
-    gold_by_sort: dict[str, list[str]] = {}
-    for s, sort in sorted(pred.sorts.items()):
-        pred_by_sort.setdefault(sort, []).append(s)
-    for s, sort in sorted(gold.sorts.items()):
-        gold_by_sort.setdefault(sort, []).append(s)
     for sort, psyms in pred_by_sort.items():
         gsyms = list(gold_by_sort.get(sort, ()))
         rng.shuffle(gsyms)
-        for p, g in zip(psyms, gsyms):
-            mapping[p] = g
+        mapping.update(zip(psyms, gsyms))
     return mapping
 
 
-def _climb(pred: ClauseSet, gold_counts: Counter, gold: ClauseSet,
-           mapping: dict[str, str], max_iters: int) -> tuple[dict[str, str], int]:
-    """Steepest-ascent: apply the single reassignment or swap with the
-    largest gain until a local optimum."""
+def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
+           pred_by_sort: dict[str, list[str]],
+           gold_by_sort: dict[str, list[str]]) -> tuple[dict[str, str], int]:
+    """Steepest ascent: apply the single reassignment, unmapping or swap
+    with the largest gain until none gains. Each step matches at least one
+    more clause, so a climb ends within ``len(pred)`` steps."""
     current = dict(mapping)
     score = _count_against(pred, gold_counts, current)
     psyms = sorted(pred.sorts)
-    gold_by_sort: dict[str, list[str]] = {}
-    for s, sort in sorted(gold.sorts.items()):
-        gold_by_sort.setdefault(sort, []).append(s)
-    for _ in range(max_iters):
-        best_gain = 0
-        best_map = None
+    while True:
+        best_gain, best_map = 0, None
+        used = set(current.values())
         for p in psyms:
             sort = pred.sorts[p]
-            used = set(current.values()) - {current.get(p)}
-            # reassign p to a free gold symbol, or unmap it
-            options = [g for g in gold_by_sort.get(sort, ()) if g not in used]
-            for g in options + [None]:
-                if current.get(p) == g:
-                    continue
+            image = current.get(p)
+            # reassign p to a free gold symbol, unmap it, or swap images
+            # with a later predicted symbol of its sort; None unmaps
+            changes = [{p: g} for g in gold_by_sort.get(sort, ()) if g not in used]
+            if image is not None:
+                changes.append({p: None})
+            changes += [{p: current.get(q), q: image} for q in pred_by_sort[sort]
+                        if q > p and current.get(q) != image]
+            for change in changes:
                 cand = dict(current)
-                if g is None:
-                    cand.pop(p, None)
-                else:
-                    cand[p] = g
-                gain = _count_against(pred, gold_counts, cand) - score
-                if gain > best_gain:
-                    best_gain, best_map = gain, cand
-            # swap images with another predicted symbol of the same sort
-            for q in psyms:
-                if q <= p or pred.sorts[q] != sort:
-                    continue
-                pg, qg = current.get(p), current.get(q)
-                if pg == qg:
-                    continue
-                cand = dict(current)
-                if qg is None:
-                    cand.pop(p, None)
-                else:
-                    cand[p] = qg
-                if pg is None:
-                    cand.pop(q, None)
-                else:
-                    cand[q] = pg
+                for s, g in change.items():
+                    if g is None:
+                        del cand[s]
+                    else:
+                        cand[s] = g
                 gain = _count_against(pred, gold_counts, cand) - score
                 if gain > best_gain:
                     best_gain, best_map = gain, cand
         if best_map is None:
-            break
+            return current, score
         current = best_map
         score += best_gain
-    return current, score
 
 
-def best_alignment(pred: ClauseSet, gold: ClauseSet, restarts: int = 20,
-                   max_iters: int = 1000, seed: int = 0) -> tuple[Alignment, int]:
+def best_alignment(pred: ClauseSet, gold: ClauseSet) -> tuple[Alignment, int]:
     """Search for the symbol alignment maximizing matched clauses.
 
     The returned count is a lower bound on the true optimum; on small
     symbol sets the greedy start plus random restarts reach it.
     """
     gold_counts = Counter(gold.clauses)
-    rng = np.random.default_rng(seed)
-    best_map = _smart_init(pred, gold)
-    best_map, best_score = _climb(pred, gold_counts, gold, best_map, max_iters)
-    for _ in range(max(0, restarts - 1)):
-        start = _random_init(pred, gold, rng)
-        mapping, score = _climb(pred, gold_counts, gold, start, max_iters)
+    pred_by_sort, gold_by_sort = _by_sort(pred.sorts), _by_sort(gold.sorts)
+    rng = np.random.default_rng(SEED)
+    best_map, best_score = _climb(pred, gold_counts, _smart_init(pred, gold),
+                                  pred_by_sort, gold_by_sort)
+    for _ in range(RESTARTS - 1):
+        start = _random_init(pred_by_sort, gold_by_sort, rng)
+        mapping, score = _climb(pred, gold_counts, start, pred_by_sort, gold_by_sort)
         if score > best_score:
             best_map, best_score = mapping, score
     return Alignment(mapping=best_map), best_score
 
 
-def score(pred: Drs, gold: Drs, restarts: int = 20, max_iters: int = 1000,
-          seed: int = 0, lexical_labels: frozenset[str] | None = None) -> ScoreReport:
-    pred_cs = to_clauses(pred)
-    gold_cs = to_clauses(gold)
-    alignment, matched = best_alignment(pred_cs, gold_cs, restarts, max_iters, seed)
+def score(pred: Drs, gold: Drs, lexical_labels: frozenset[str] | None = None) -> ScoreReport:
+    pred_cs, gold_cs = to_clauses(pred), to_clauses(gold)
+    alignment, matched = best_alignment(pred_cs, gold_cs)
     report = ScoreReport(matched=matched, n_predicted=len(pred_cs), n_gold=len(gold_cs))
     if lexical_labels is not None:
         report.per_category = category_breakdown(pred_cs, gold_cs, alignment, lexical_labels)
@@ -242,17 +217,17 @@ def score(pred: Drs, gold: Drs, restarts: int = 20, max_iters: int = 1000,
 
 def micro_average(reports: list[ScoreReport]) -> ScoreReport:
     """Corpus-level score: summed counts, not averaged ratios."""
-    total = ScoreReport(matched=sum(r.matched for r in reports),
-                        n_predicted=sum(r.n_predicted for r in reports),
-                        n_gold=sum(r.n_gold for r in reports))
-    cats = {c for r in reports for c in r.per_category}
-    for c in sorted(cats):
-        subs = [r.per_category[c] for r in reports if c in r.per_category]
-        total.per_category[c] = ScoreReport(
-            matched=sum(s.matched for s in subs),
-            n_predicted=sum(s.n_predicted for s in subs),
-            n_gold=sum(s.n_gold for s in subs))
+    total = _summed(reports)
+    for c in sorted({c for r in reports for c in r.per_category}):
+        total.per_category[c] = _summed([r.per_category[c] for r in reports
+                                         if c in r.per_category])
     return total
+
+
+def _summed(reports: list[ScoreReport]) -> ScoreReport:
+    return ScoreReport(matched=sum(r.matched for r in reports),
+                       n_predicted=sum(r.n_predicted for r in reports),
+                       n_gold=sum(r.n_gold for r in reports))
 
 
 def categorize_clause(clause: Clause, sorts: dict[str, str],
@@ -262,7 +237,7 @@ def categorize_clause(clause: Clause, sorts: dict[str, str],
     non-lexical binary roles / lexical predicates."""
     if clause[0] == "REL":
         return "operators"
-    if len(clause) >= 3 and clause[1] in ("NOT", "POS", "NEC", "IMP", "DIS", "DUP") \
+    if len(clause) >= 3 and clause[1] in OPERATORS \
             and all(tok in sorts and sorts[tok] == "b" for tok in clause[2:]):
         return "operators"
     if clause[1] == "REF":
@@ -277,13 +252,13 @@ def category_breakdown(pred: ClauseSet, gold: ClauseSet, alignment: Alignment,
     """Per-category scores under one alignment fixed on the full clause sets."""
     out: dict[str, ScoreReport] = {}
     for cat in CATEGORIES:
-        pred_sub = [c for c in pred.clauses
-                    if categorize_clause(c, pred.sorts, lexical_labels) == cat]
+        pred_sub = ClauseSet(
+            clauses=tuple(c for c in pred.clauses
+                          if categorize_clause(c, pred.sorts, lexical_labels) == cat),
+            sorts=pred.sorts)
         gold_sub = [c for c in gold.clauses
                     if categorize_clause(c, gold.sorts, lexical_labels) == cat]
-        gold_counts = Counter(gold_sub)
-        renamed = Counter(rename_clause(c, pred.sorts, alignment.mapping) for c in pred_sub)
-        matched = sum(min(n, gold_counts[c]) for c, n in renamed.items() if c in gold_counts)
+        matched = _count_against(pred_sub, Counter(gold_sub), alignment.mapping)
         out[cat] = ScoreReport(matched=matched, n_predicted=len(pred_sub),
                                n_gold=len(gold_sub))
     return out

@@ -8,6 +8,26 @@ from boxparse.errors import ShapeError
 from boxparse.gradcheck import check_gradients
 
 
+def mlp_gradcheck(**kwargs):
+    """Gradient check of a 5-4-3-2 tanh MLP with a cross-entropy loss, built
+    in the current default dtype."""
+    rng = np.random.default_rng(7)
+    params = {
+        "w1": ad.uniform((5, 4), rng), "b1": ad.zeros(4, requires_grad=True),
+        "w2": ad.uniform((4, 3), rng), "b2": ad.zeros(3, requires_grad=True),
+        "w3": ad.uniform((3, 2), rng), "b3": ad.zeros(2, requires_grad=True),
+    }
+    x = ad.tensor(rng.normal(size=5))
+
+    def loss_fn():
+        h1 = ad.tanh(ad.add(ad.matmul(x, params["w1"]), params["b1"]))
+        h2 = ad.tanh(ad.add(ad.matmul(h1, params["w2"]), params["b2"]))
+        logits = ad.add(ad.matmul(h2, params["w3"]), params["b3"])
+        return ad.softmax_cross_entropy(logits, target=1)
+
+    return check_gradients(loss_fn, params, name="mlp", **kwargs), params
+
+
 class TestForwardOps:
     def test_tanh_zero(self):
         x = ad.tensor(np.zeros(4), requires_grad=True)
@@ -104,21 +124,18 @@ class TestBackward:
         assert np.allclose(x.grad, 2 * (1 - np.tanh(x.data) ** 2))
 
     def test_mlp_matches_finite_differences(self):
-        rng = np.random.default_rng(7)
-        params = {
-            "w1": ad.uniform((5, 4), rng), "b1": ad.zeros(4, requires_grad=True),
-            "w2": ad.uniform((4, 3), rng), "b2": ad.zeros(3, requires_grad=True),
-            "w3": ad.uniform((3, 2), rng), "b3": ad.zeros(2, requires_grad=True),
-        }
-        x = ad.tensor(rng.normal(size=5))
+        report, _ = mlp_gradcheck()
+        assert report.passed, report.worst
 
-        def loss_fn():
-            h1 = ad.tanh(ad.add(ad.matmul(x, params["w1"]), params["b1"]))
-            h2 = ad.tanh(ad.add(ad.matmul(h1, params["w2"]), params["b2"]))
-            logits = ad.add(ad.matmul(h2, params["w3"]), params["b3"])
-            return ad.softmax_cross_entropy(logits, target=1)
-
-        report = check_gradients(loss_fn, params, name="mlp")
+    def test_mlp_matches_finite_differences_in_float32(self):
+        # float32 rounding swamps central differences at small h: the
+        # error is ~2e-3 at h=1e-2 but ~2e-1 at the default h=1e-4
+        ad.set_dtype(np.float32)
+        try:
+            report, params = mlp_gradcheck(h=1e-2, tolerance=1e-2)
+        finally:
+            ad.set_dtype(np.float64)
+        assert all(p.data.dtype == np.float32 for p in params.values())
         assert report.passed, report.worst
 
     def test_attention_like_graph_gradcheck(self):

@@ -116,6 +116,37 @@ class TestParseClauses:
         with pytest.raises(DataError):
             parse_clauses(text)
 
+    @pytest.mark.parametrize("bad, message", [
+        ("b1 dog", "clause too short"),
+        ("q1 dog x1", "bad box id 'q1'"),
+        ("b1 REF x1 x2", "REF takes one variable"),
+        ("b1 REF dog", "bad referent name 'dog'"),
+        ("b1 FROB x1", "unknown operator 'FROB'"),
+        ("b1 dog x1 x1 x1", "predicate clause with 3 arguments"),
+        ("b2 CONTINUATION b3 b4", "relation hosted at b2"),
+    ])
+    def test_line_errors_name_the_line(self, bad, message):
+        # comment and blank lines count: the bad clause is line 5
+        text = f"% a dog\n% 1 dog\n\nb1 REF x1\n{bad}\nb1 dog x1\n"
+        with pytest.raises(DataError, match=f"^line 5: {re.escape(message)}"):
+            parse_clauses(text)
+
+    def test_line_errors_count_from_the_start_of_the_file(self, fig1_doc):
+        first = format_clauses(fig1_doc)
+        text = first + "\nb1 REF e1\nb1 run e1 e1 e1\n"
+        line = first.count("\n") + 3
+        with pytest.raises(DataError, match=f"^line {line}: predicate clause"):
+            parse_clause_documents(text)
+
+    @pytest.mark.parametrize("text", [
+        "b1 REF x1\nb1 x2 x1\n",
+        "b1 REF x1\nb1 b1 x1\n",
+        "b1 REF e1\nb1 REF x1\nb1 p2 e1 x1\n",
+    ])
+    def test_symbol_like_labels_rejected(self, text):
+        with pytest.raises(DataError, match="spelled like symbols"):
+            parse_clauses(text)
+
     def test_format_parse_round_trip(self, fig1_doc):
         text = format_clauses(fig1_doc)
         again = parse_clause_document(text)

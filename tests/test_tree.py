@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 from helpers import random_drs
 
 from boxparse.drs import Binary, Box, Drs, Operator, Unary, parse_clauses, strip_senses
-from boxparse.errors import EmptyInput, MalformedSequence, MalformedTree, UnboundVariable
+from boxparse.errors import (
+    DataError,
+    EmptyInput,
+    MalformedSequence,
+    MalformedTree,
+    UnboundVariable,
+)
 from boxparse.evaluate import score
 from boxparse.tree import (
     DrsTree,
@@ -178,6 +184,13 @@ class TestFromTree:
     def test_leaf_where_box_required(self):
         t = DrsTree(Node("DRS", (Node("OP", (leaf("NOT"), leaf("x1"))),)))
         with pytest.raises(MalformedTree):
+            from_tree(t)
+
+    def test_symbol_like_label_rejected(self):
+        # (DRS (REF x1) (C1 x2 x1))
+        t = DrsTree(Node("DRS", (Node("REF", (leaf("x1"),)),
+                                 Node("C1", (leaf("x2"), leaf("x1"))))))
+        with pytest.raises(DataError, match="spelled like symbols"):
             from_tree(t)
 
     def test_unbound_argument(self):
