@@ -19,7 +19,8 @@ Clause file format (UTF-8, LF, one clause per line, whitespace separated):
 Token conventions: box ids match ``[bp][0-9]+`` ('p' marks a presupposed
 box), variables match ``[xets][0-9]+``, operator and relation labels are
 fully uppercase, roles are capitalized, predicates lowercase, and no
-label looks like a symbol. DRSs in one file are separated by blank lines.
+label looks like a symbol, with or without a sense suffix. DRSs in one
+file are separated by blank lines.
 
 All values are immutable; every operation returns a new structure.
 """
@@ -49,7 +50,7 @@ OPERATORS = UNARY_OPERATORS | BINARY_OPERATORS
 
 _VAR_RE = re.compile(r"^([xets])([0-9]+)$")
 _BOX_RE = re.compile(r"^([bp])([0-9]+)$")
-_SYMBOL_RE = re.compile(r"^[xetsbp][0-9]+$")
+_SYMBOL_RE = re.compile(r"^[xetsbp][0-9]+(\.[a-z]+\.[0-9]+)?$")
 _SENSE_RE = re.compile(r"^([^.]+)\.[a-z]+\.[0-9]+$")
 
 
@@ -562,7 +563,11 @@ def revert_predicates(d: Drs, annotation) -> tuple[Drs, int]:
                             raise PairingError(
                                 f"alignment token {chosen.token} of {c.predicate} is outside "
                                 f"the {len(annotation.lemmas)} lemmas")
-                        conds.append(replace(c, predicate=annotation.lemmas[chosen.token]))
+                        lemma = annotation.lemmas[chosen.token]
+                        if _SYMBOL_RE.match(lemma):
+                            raise PairingError(f"lemma {lemma!r} of {c.predicate} is spelled "
+                                               f"like a symbol")
+                        conds.append(replace(c, predicate=lemma))
                         continue
                     warnings += 1
             conds.append(c)
@@ -571,13 +576,16 @@ def revert_predicates(d: Drs, annotation) -> tuple[Drs, int]:
 
 
 def canonicalize_variables(d: Drs) -> Drs:
-    """Rename variables to first-use order per sort (x1, x2, ...) and boxes
-    to b1, b2, ... in document order; the result is metric-equivalent."""
+    """Rename variables to first-use order per sort (x1, x2, ...), and boxes
+    in document order to p1, p2, ... if presupposed and b1, b2, ... if not;
+    the result is metric-equivalent."""
+    counters = {s: 0 for s in (*VARIABLE_SORTS, "b", "p")}
     box_map: dict[str, str] = {}
-    for i, b in enumerate(d.boxes, start=1):
-        box_map[b.id] = f"b{i}"
+    for b in d.boxes:
+        prefix = "p" if b.presupposed else "b"
+        counters[prefix] += 1
+        box_map[b.id] = f"{prefix}{counters[prefix]}"
     var_map: dict[str, str] = {}
-    counters = {s: 0 for s in VARIABLE_SORTS}
 
     def rename_var(v: str) -> str:
         if v not in var_map:

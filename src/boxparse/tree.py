@@ -24,21 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .drs import (
-    BINARY_OPERATORS,
-    OPERATORS,
+    VARIABLE_SORTS,
     Binary,
     Box,
     Drs,
     Operator,
     Unary,
-    is_constant,
     is_variable,
     validate,
     variable_sort,
 )
 from .errors import DataError, EmptyInput, MalformedSequence, MalformedTree, UnboundVariable
-
-INTERNAL_LABELS = ("SDRS", "DRS", "REF", "C1", "C2", "OP", "REL")
 
 
 @dataclass(frozen=True)
@@ -81,108 +77,104 @@ def to_tree(d: Drs) -> DrsTree:
     validate(d)
     if any(b.presupposed for b in d.boxes):
         raise DataError("merge presuppositions before tree conversion")
-
-    def box_node(b: Box) -> Node:
-        children: list[Node] = [Node("REF", (leaf(v),)) for v in b.referents]
+    constituents = list(dict.fromkeys(x for _label, a, b in d.relations for x in (a, b)))
+    # Boxes breadth-first from the top and the constituents. validate has
+    # made the nesting a tree, so in reverse each box follows those it embeds.
+    order = [d.top, *constituents]
+    for box_id in order:
+        order.extend(x for c in d.box(box_id).conditions if isinstance(c, Operator)
+                     for x in c.boxes)
+    nodes: dict[str, Node] = {}
+    for box_id in reversed(order):
+        b = d.box(box_id)
+        children = [Node("REF", (Node(v),)) for v in b.referents]
         for c in b.conditions:
             if isinstance(c, Unary):
-                children.append(Node("C1", (leaf(c.predicate), leaf(c.argument))))
+                children.append(Node("C1", (Node(c.predicate), Node(c.argument))))
             elif isinstance(c, Binary):
-                children.append(Node("C2", (leaf(c.role), leaf(c.first), leaf(c.second))))
+                children.append(Node("C2", (Node(c.role), Node(c.first), Node(c.second))))
             else:
-                kids = [leaf(c.op)] + [box_node(d.box(x)) for x in c.boxes]
-                children.append(Node("OP", tuple(kids)))
-        return Node("DRS", tuple(children))
-
-    if d.relations:
-        constituents: list[str] = []
-        for _label, a, b in d.relations:
-            for x in (a, b):
-                if x not in constituents:
-                    constituents.append(x)
-        kids = [box_node(d.box(d.top))]
-        kids += [box_node(d.box(c)) for c in constituents]
-        for label, a, b in d.relations:
-            kids.append(Node("REL", (leaf(label),
-                                     leaf(f"K{constituents.index(a) + 1}"),
-                                     leaf(f"K{constituents.index(b) + 1}"))))
-        return DrsTree(Node("SDRS", tuple(kids)))
-    return DrsTree(box_node(d.box(d.top)))
+                children.append(Node("OP", (Node(c.op), *(nodes[x] for x in c.boxes))))
+        nodes[box_id] = Node("DRS", tuple(children))
+    if not d.relations:
+        return DrsTree(nodes[d.top])
+    k = {x: Node(f"K{i}") for i, x in enumerate(constituents, start=1)}
+    kids = [nodes[x] for x in order[:len(constituents) + 1]]
+    kids += [Node("REL", (Node(label), k[a], k[b])) for label, a, b in d.relations]
+    return DrsTree(Node("SDRS", tuple(kids)))
 
 
 class _Builder:
-    """Accumulates boxes and canonical variable names during a tree walk."""
+    """Accumulates boxes and canonical variable names during a tree walk.
+    It checks only what the tree alone can tell; ``validate`` does the rest."""
 
     def __init__(self):
         self.boxes: list[Box] = []
-        self.counters = {"x": 0, "e": 0, "t": 0, "s": 0}
-        self._scopes: dict[str, dict[str, str]] = {}
+        self.counters = {sort: 0 for sort in VARIABLE_SORTS}
+        self.scopes: dict[str, dict[str, str]] = {}  # box id -> token -> name
+        self.visible: dict[str, str] = {}  # the same, for the boxes open now
 
-    def fresh(self, sort: str) -> str:
-        self.counters[sort] += 1
-        return f"{sort}{self.counters[sort]}"
+    def read(self, node: Node, shared: dict[str, str]) -> str:
+        """Read the box under ``node`` and all it embeds; returns its id. Each
+        ``read_box`` yields an embedded box and is sent back that box's id."""
+        stack = [self.read_box(node, shared)]
+        box_id = None
+        while stack:
+            try:
+                sub = stack[-1].send(box_id)
+            except StopIteration as done:
+                stack.pop()
+                box_id = done.value
+            else:
+                stack.append(self.read_box(*sub))
+                box_id = None
+        return box_id
 
-    def next_box_id(self) -> str:
-        return f"b{len(self.boxes) + 1}"
-
-    def read_box(self, node: Node, env: list[dict[str, str]]) -> str:
+    def read_box(self, node: Node, shared: dict[str, str]):
+        """``shared`` is a closed box's scope that this box may also use."""
         if node.label != "DRS":
             raise MalformedTree(f"expected DRS node, got {node.label!r}")
-        box_id = self.next_box_id()
         slot = len(self.boxes)
-        self.boxes.append(Box(id=box_id))  # reserve creation order
-        scope: dict[str, str] = {}
-        env = env + [scope]
+        box_id = f"b{slot + 1}"
+        self.boxes.append(Box(id=box_id))  # reserve preorder numbering
+        scope = self.scopes[box_id] = {}
+        self.visible.update(shared)
         referents: list[str] = []
         conditions = []
-        seen_condition = False
         for child in node.children:
             if child.is_leaf:
                 raise MalformedTree(f"leaf {child.label!r} directly under DRS")
             if child.label == "REF":
-                if seen_condition:
+                if conditions:
                     raise MalformedTree("referent declared after conditions")
                 v = self._leaf_token(child, 1)[0]
-                if not is_variable(v):
-                    raise MalformedTree(f"bad referent token {v!r}")
-                if any(v in s for s in env):
+                if v in self.visible:
                     raise MalformedTree(f"referent {v} shadows an accessible declaration")
-                name = self.fresh(variable_sort(v))
-                scope[v] = name
-                referents.append(name)
+                sort = variable_sort(v)
+                self.counters[sort] += 1
+                scope[v] = self.visible[v] = f"{sort}{self.counters[sort]}"
+                referents.append(scope[v])
             elif child.label == "C1":
-                seen_condition = True
                 pred, arg = self._leaf_token(child, 2)
-                conditions.append(Unary(pred, self._resolve(arg, env)))
+                conditions.append(Unary(pred, self._resolve(arg)))
             elif child.label == "C2":
-                seen_condition = True
                 role, a1, a2 = self._leaf_token(child, 3)
-                conditions.append(Binary(role, self._resolve(a1, env), self._resolve(a2, env)))
+                conditions.append(Binary(role, self._resolve(a1), self._resolve(a2)))
             elif child.label == "OP":
-                seen_condition = True
-                if len(child.children) < 2 or not child.children[0].is_leaf:
-                    raise MalformedTree("OP node needs a label leaf and box subtree(s)")
-                op = child.children[0].label
-                if op not in OPERATORS:
-                    raise MalformedTree(f"unknown operator label {op!r}")
-                want = 2 if op in BINARY_OPERATORS else 1
-                subs = child.children[1:]
-                if len(subs) != want:
-                    raise MalformedTree(f"operator {op} takes {want} box(es)")
-                if want == 1:
-                    child_id = self.read_box(subs[0], env)
-                    conditions.append(Operator(op, (child_id,)))
-                else:
-                    first_id = self.read_box(subs[0], env)
-                    antecedent_env = env + ([self._scopes[first_id]]
-                                            if op in ("IMP", "DUP") else [])
-                    second_id = self.read_box(subs[1], antecedent_env)
-                    conditions.append(Operator(op, (first_id, second_id)))
+                op, *subs = child.children
+                if not op.is_leaf:
+                    raise MalformedTree("OP node needs an operator label leaf first")
+                ids: list[str] = []
+                for sub in subs:
+                    first = self.scopes[ids[0]] if ids and op.label in ("IMP", "DUP") else {}
+                    ids.append((yield sub, first))
+                conditions.append(Operator(op.label, tuple(ids)))
             else:
                 raise MalformedTree(f"unexpected node {child.label!r} under DRS")
         self.boxes[slot] = Box(id=box_id, referents=tuple(referents),
                                conditions=tuple(conditions))
-        self._scopes[box_id] = scope
+        for v in (*scope, *shared):
+            del self.visible[v]
         return box_id
 
     @staticmethod
@@ -191,24 +183,28 @@ class _Builder:
             raise MalformedTree(f"{node.label} node needs {want} leaf children")
         return [c.label for c in node.children]
 
-    @staticmethod
-    def _resolve(token: str, env: list[dict[str, str]]) -> str:
-        if is_constant(token):
-            return token
-        if not is_variable(token):
-            raise MalformedTree(f"argument {token!r} is neither a variable nor a constant")
-        for scope in reversed(env):
-            if token in scope:
-                return scope[token]
-        raise UnboundVariable(f"variable {token} used outside any declaring scope")
+    def _resolve(self, token: str) -> str:
+        if token in self.visible:
+            return self.visible[token]
+        if is_variable(token):
+            raise UnboundVariable(f"variable {token} used outside any declaring scope")
+        return token
 
 
 def from_tree(t: DrsTree) -> Drs:
-    """Rebuild a canonical DRS from a tree; inverse of to_tree up to renaming."""
+    """Rebuild a canonical DRS from a tree; inverse of to_tree up to renaming.
+
+    Boxes are numbered b1, b2, ... in preorder and variables x1, e1, ...
+    per sort in declaration order. A variable token names the declaration
+    of that token in a box open at its use: the box itself, the boxes
+    enclosing it, the first box of an IMP/DUP for its later boxes, and the
+    top box for the SDRS constituents. No box may redeclare a token that is
+    open. ``validate`` then judges the result.
+    """
     root = t.root
     builder = _Builder()
     if root.label == "DRS":
-        top = builder.read_box(root, [])
+        top = builder.read(root, {})
         return validate(Drs(boxes=tuple(builder.boxes), relations=(), top=top))
     if root.label != "SDRS":
         raise MalformedTree(f"root must be DRS or SDRS, got {root.label!r}")
@@ -220,51 +216,42 @@ def from_tree(t: DrsTree) -> Drs:
         raise MalformedTree("SDRS needs a top box, at least two constituents and a relation")
     if root.children[0].label != "DRS":
         raise MalformedTree("first SDRS child must be the top box")
-    top = builder.read_box(root.children[0], [])
-    constituent_ids = [builder.read_box(c, [builder._scopes[top]]) for c in drs_kids[1:]]
+    top = builder.read(root.children[0], {})
+    k = {f"K{i}": builder.read(c, builder.scopes[top])
+         for i, c in enumerate(drs_kids[1:], start=1)}
     relations = []
     for rel in rel_kids:
         label, ka, kb = _Builder._leaf_token(rel, 3)
-        relations.append((label, _k_index(ka, constituent_ids), _k_index(kb, constituent_ids)))
-    d = Drs(boxes=tuple(builder.boxes), relations=tuple(relations), top=top)
-    return validate(d)
-
-
-def _k_index(token: str, constituents: list[str]) -> str:
-    if not token.startswith("K"):
-        raise MalformedTree(f"expected constituent index, got {token!r}")
-    try:
-        i = int(token[1:])
-    except ValueError:
-        raise MalformedTree(f"bad constituent index {token!r}") from None
-    if not 1 <= i <= len(constituents):
-        raise MalformedTree(f"constituent index {token} out of range")
-    return constituents[i - 1]
+        if ka not in k or kb not in k:
+            raise MalformedTree(f"bad constituent index in ({label} {ka} {kb})")
+        relations.append((label, k[ka], k[kb]))
+    return validate(Drs(boxes=tuple(builder.boxes), relations=tuple(relations), top=top))
 
 
 def linearize(t: DrsTree) -> LinearSeq:
     tokens: list[str] = []
-
-    def walk(node: Node) -> None:
-        if node.is_leaf:
-            tokens.append(node.label)
-            return
-        tokens.append(f"({node.label}")
-        for c in node.children:
-            walk(c)
-        tokens.append(")")
-
-    walk(t.root)
+    stack = [iter((t.root,))]
+    while stack:
+        for node in stack[-1]:
+            if node.is_leaf:
+                tokens.append(node.label)
+            else:
+                tokens.append(f"({node.label}")
+                stack.append(iter(node.children))
+                break
+        else:
+            stack.pop()
+            if stack:
+                tokens.append(")")
     return LinearSeq(tuple(tokens))
 
 
 def delinearize(s: LinearSeq) -> DrsTree:
-    tokens = s.tokens if isinstance(s, LinearSeq) else tuple(s)
-    if not tokens:
+    if not s.tokens:
         raise EmptyInput("empty sequence")
     stack: list[tuple[str, list[Node]]] = []
     root: Node | None = None
-    for tok in tokens:
+    for tok in s.tokens:
         if root is not None:
             raise MalformedSequence("tokens after the root closed")
         if tok.startswith("("):

@@ -14,6 +14,7 @@ from boxparse.drs import (
     Drs,
     Operator,
     Unary,
+    canonicalize_variables,
     format_clauses,
     merge_presuppositions,
     parse_clause_document,
@@ -142,6 +143,7 @@ class TestParseClauses:
         "b1 REF x1\nb1 x2 x1\n",
         "b1 REF x1\nb1 b1 x1\n",
         "b1 REF e1\nb1 REF x1\nb1 p2 e1 x1\n",
+        "b1 REF x1\nb1 REF x2\nb1 x2.n.01 x1\n",
     ])
     def test_symbol_like_labels_rejected(self, text):
         with pytest.raises(DataError, match="spelled like symbols"):
@@ -155,6 +157,12 @@ class TestParseClauses:
         assert format_clauses(again) == text
         out = format_clauses(from_tree(to_tree(parse_clauses(FORMAT_PROBE))))
         assert format_clauses(parse_clauses(out)) == out
+
+    def test_canonicalized_presupposition_round_trips(self):
+        d = parse_clauses("b1 REF x1\nb1 Owner x1 x2\np1 REF x2\np1 cat x2\n")
+        renamed = parse_clauses("b3 REF x5\nb3 Owner x5 x7\np4 REF x7\np4 cat x7\n")
+        assert canonicalize_variables(renamed) == d
+        assert parse_clauses(format_clauses(canonicalize_variables(d))) == d
 
     def test_top_is_first_box_nothing_embeds(self):
         d = parse_clauses("p1 REF x2\np1 cat x2\nb1 REF x1\nb1 dog x1\nb1 Owner x1 x2\n")
@@ -340,6 +348,12 @@ class TestRevertPredicates:
         d = parse_clauses("b1 REF e1\nb1 open.v.01 e1\n")
         ann = SimpleAnnotation(["a"], ["a"], [AlignmentRecord(1, "open", head=True)])
         with pytest.raises(PairingError):
+            revert_predicates(d, ann)
+
+    def test_symbol_like_lemma_raises_pairing_error(self):
+        d = parse_clauses("b1 REF e1\nb1 open.v.01 e1\n")
+        ann = SimpleAnnotation(["x1"], ["x1"], [AlignmentRecord(0, "open", head=True)])
+        with pytest.raises(PairingError, match="spelled like a symbol"):
             revert_predicates(d, ann)
 
 

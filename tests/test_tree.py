@@ -11,6 +11,7 @@ from boxparse.errors import (
     MalformedSequence,
     MalformedTree,
     UnboundVariable,
+    UnknownOperator,
 )
 from boxparse.evaluate import score
 from boxparse.tree import (
@@ -96,7 +97,7 @@ class TestToTree:
         d = Drs(boxes=(Box("b1", ("e1",), (Unary("run", "e1"),)),
                        Box("p1", ("x1",), (Unary("dog", "x1"),), presupposed=True)),
                 top="b1")
-        with pytest.raises(Exception):
+        with pytest.raises(DataError, match="merge presuppositions"):
             to_tree(d)
 
     def test_sorts_preserved_end_to_end(self, rng):
@@ -216,6 +217,28 @@ class TestFromTree:
         refs = [v for b in d.boxes for v in b.referents]
         assert len(refs) == 2
         assert len(set(refs)) == 2
+
+    @pytest.mark.parametrize("text, error", [
+        ("(DRS (OP FOO (DRS ) ) )", UnknownOperator),
+        ("(DRS (OP NOT (DRS ) (DRS ) ) )", DataError),
+        ("(DRS (REF dog ) )", DataError),
+        ("(DRS (REF x1 ) (C1 dog cat ) )", DataError),
+        ("(SDRS (DRS ) (DRS ) (DRS ) (REL CONTINUATION K1 K9 ) )", MalformedTree),
+        ("(SDRS (DRS ) (DRS ) (DRS ) (REL CONTINUATION K01 K2 ) )", MalformedTree),
+    ])
+    def test_bad_trees_rejected(self, text, error):
+        with pytest.raises(error):
+            from_tree(delinearize(LinearSeq(tuple(text.split()))))
+
+    def test_deep_not_chain_round_trips(self):
+        depth = 5000
+        text = "".join(f"b{i} REF x{i}\nb{i} dog x{i}\nb{i} NOT b{i + 1}\n"
+                       for i in range(1, depth))
+        d = parse_clauses(text + f"b{depth} REF x{depth}\nb{depth} dog x{depth}\n")
+        seq = linearize(to_tree(d))
+        # Node equality recurses per level, so compare DRSs and token tuples
+        assert from_tree(delinearize(seq)) == d
+        assert linearize(delinearize(seq)) == seq
 
     def test_shadowing_rejected(self):
         t = DrsTree(Node("DRS", (
