@@ -19,16 +19,18 @@ Clause file format (UTF-8, LF, one clause per line, whitespace separated):
 Token conventions: box ids match ``[bp][0-9]+`` ('p' marks a presupposed
 box), variables match ``[xets][0-9]+``, operator and relation labels are
 fully uppercase, roles are capitalized, predicates lowercase, and no
-label looks like a symbol, with or without a sense suffix. DRSs in one
-file are separated by blank lines.
+label looks like a symbol or a keyword, with or without a sense suffix.
+DRSs in one file are separated by blank lines.
 
-All values are immutable; every operation returns a new structure.
+All values are immutable; every operation returns a new structure. A Drs
+remembers that it passed ``validate``, and the label-only rewrites
+``strip_senses`` and ``revert_predicates`` pass that on to their result.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Union
 
@@ -83,7 +85,7 @@ def has_sense(label: str) -> bool:
     return _SENSE_RE.match(label) is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary:
     predicate: str
     argument: str
@@ -93,7 +95,7 @@ class Unary:
         return (self.argument,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary:
     role: str
     first: str
@@ -104,7 +106,7 @@ class Binary:
         return (self.first, self.second)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operator:
     op: str
     boxes: tuple[str, ...]
@@ -117,7 +119,7 @@ class Operator:
 Condition = Union[Unary, Binary, Operator]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     id: str
     referents: tuple[str, ...] = ()
@@ -141,6 +143,11 @@ class Drs:
             return self._by_id[box_id]
         except KeyError:
             raise DataError(f"no box {box_id!r}") from None
+
+    @cached_property
+    def _valid(self) -> bool:
+        _check(self)  # raises, and then nothing is cached
+        return True
 
 
 def parent_map(d: Drs) -> dict[str, str]:
@@ -183,6 +190,13 @@ def _ancestor_chain(box_id: str, parents: dict[str, str]) -> list[str]:
     return chain
 
 
+def _spelled_like_keyword(label: str) -> bool:
+    """Whether the parser reads ``label``, sense stripped, as a keyword:
+    REF, an operator and a relation are all uppercase and longer than 1."""
+    stripped = strip_sense(label)
+    return stripped.isupper() and len(stripped) > 1
+
+
 def validate(d: Drs) -> Drs:
     """Check every structural invariant; returns ``d`` unchanged on success.
 
@@ -192,7 +206,17 @@ def validate(d: Drs) -> Drs:
     ancestors, plus the antecedent of every IMP/DUP whose consequent is
     among them; boxes nested inside an antecedent stay private. Every box
     must descend from the top or a presupposed box, and nesting is acyclic.
+    No predicate or role label may be spelled like a symbol or a keyword,
+    with or without a sense suffix.
+
+    A Drs that passed is remembered, so checking it again costs nothing. A
+    failure is not remembered: the same value raises again.
     """
+    d._valid
+    return d
+
+
+def _check(d: Drs) -> None:
     if len({b.id for b in d.boxes}) != len(d.boxes):
         raise DataError("duplicate box ids")
     known = d._by_id
@@ -224,6 +248,9 @@ def validate(d: Drs) -> Drs:
     bad = sorted(filter(_SYMBOL_RE.match, labels))
     if bad:
         raise DataError(f"labels spelled like symbols: {bad}")
+    bad = sorted(filter(_spelled_like_keyword, labels))
+    if bad:
+        raise DataError(f"labels spelled like keywords: {bad}")
     for label, a, bb in d.relations:
         for ref in (a, bb):
             if ref not in known:
@@ -262,15 +289,15 @@ def validate(d: Drs) -> Drs:
                 if c.op in ("IMP", "DUP"):
                     antecedent[c.boxes[1]] = c.boxes[0]
                 continue
-            if isinstance(c, Unary) and is_constant(c.argument):
-                raise DataError(f"unary predicate {c.predicate} takes a variable, "
-                                f"got constant {c.argument}")
             for arg in c.args:
-                if is_constant(arg):
+                home = declared.get(arg)  # a declared name is a variable
+                if home is None and is_constant(arg):
+                    if isinstance(c, Unary):
+                        raise DataError(f"unary predicate {c.predicate} takes a variable, "
+                                        f"got constant {c.argument}")
                     continue
-                if not is_variable(arg):
+                if home is None and not is_variable(arg):
                     raise DataError(f"argument {arg!r} is neither a variable nor a quoted constant")
-                home = declared.get(arg)
                 if home not in open_boxes and home not in presupposed:
                     raise UnboundVariable(f"variable {arg} used in box {b.id} but not accessible")
         for child in reversed(children.get(box_id, ())):
@@ -282,7 +309,6 @@ def validate(d: Drs) -> Drs:
         if not any(b.id == d.top or b.presupposed for b in rest):
             raise DataError(f"boxes unreachable from top: {sorted(b.id for b in rest)}")
         _ancestor_chain(rest[0].id, parents)  # raises CyclicStructure
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +372,10 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
     relation_hosts: list[tuple[int, str]] = []
 
     def touch(box_id: str) -> None:
-        if not is_box_id(box_id):
-            raise DataError(f"line {n}: bad box id {box_id!r}")
-        mentioned[box_id] = None
+        if box_id not in mentioned:
+            if not is_box_id(box_id):
+                raise DataError(f"line {n}: bad box id {box_id!r}")
+            mentioned[box_id] = None
 
     for n, toks in zip(numbers, clause_lines):
         if len(toks) < 3:
@@ -471,9 +498,10 @@ def merge_presuppositions(d: Drs) -> Drs:
         return d
     parents = parent_map(d)
     home = {v: b.id for b in d.boxes for v in b.referents}
-    # box id -> boxes declaring the variables its conditions use
+    # box id -> boxes declaring the variables its conditions use; a constant
+    # gives None, which no box id equals
     uses = {b.id: {home.get(arg) for c in b.conditions if not isinstance(c, Operator)
-                   for arg in c.args if not is_constant(arg)} for b in d.boxes}
+                   for arg in c.args} for b in d.boxes}
     added: dict[str, tuple[list[str], list[Condition]]] = {}
     for box in d.boxes:
         if not box.presupposed or box.id == d.top:
@@ -514,8 +542,8 @@ def merge_presuppositions(d: Drs) -> Drs:
             continue  # merged away
         if b.id in added or b.presupposed:
             referents, conditions = added.get(b.id, ((), ()))
-            b = replace(b, referents=b.referents + tuple(referents),
-                        conditions=b.conditions + tuple(conditions), presupposed=False)
+            b = Box(b.id, b.referents + tuple(referents), b.conditions + tuple(conditions),
+                    presupposed=False)
         boxes.append(b)
     try:
         return validate(Drs(boxes=tuple(boxes), relations=d.relations, top=d.top))
@@ -523,15 +551,28 @@ def merge_presuppositions(d: Drs) -> Drs:
         raise AmbiguousMerge(f"merging presupposed boxes broke accessibility: {e}") from e
 
 
+def _relabelled(d: Drs, relabel) -> Drs:
+    """``d`` with each unary predicate ``p`` renamed ``relabel(p)``.
+
+    The result keeps ``d``'s passed check: validate rejects every label that
+    sense stripping turns into a symbol or keyword, and revert_predicates
+    every such lemma, so no relabelling can make a valid DRS invalid.
+    """
+    boxes = tuple(
+        Box(b.id, b.referents,
+            tuple(Unary(relabel(c.predicate), c.argument) if isinstance(c, Unary) else c
+                  for c in b.conditions),
+            b.presupposed)
+        for b in d.boxes)
+    out = Drs(boxes, d.relations, d.top)
+    if "_valid" in d.__dict__:
+        out.__dict__["_valid"] = True
+    return out
+
+
 def strip_senses(d: Drs) -> Drs:
     """Drop sense suffixes from unary predicate labels; idempotent."""
-    boxes = []
-    for b in d.boxes:
-        conds = tuple(
-            replace(c, predicate=strip_sense(c.predicate)) if isinstance(c, Unary) else c
-            for c in b.conditions)
-        boxes.append(replace(b, conditions=conds))
-    return Drs(boxes=tuple(boxes), relations=d.relations, top=d.top)
+    return _relabelled(d, strip_sense)
 
 
 def revert_predicates(d: Drs, annotation) -> tuple[Drs, int]:
@@ -541,38 +582,37 @@ def revert_predicates(d: Drs, annotation) -> tuple[Drs, int]:
     (sense-stripped) label appears in the alignment records. If several
     tokens align to one predicate the head-marked token wins, leftmost on
     ties. Lexical predicates with no alignment keep their label; the count
-    of such cases is returned alongside the new DRS.
+    of such cases is returned alongside the new DRS. A lemma spelled like a
+    symbol or a keyword raises PairingError.
     """
     by_pred: dict[str, list[AlignmentRecord]] = {}
     for rec in annotation.alignments:
         by_pred.setdefault(strip_sense(rec.predicate), []).append(rec)
     warnings = 0
-    boxes = []
-    for b in d.boxes:
-        conds = []
-        for c in b.conditions:
-            if isinstance(c, Unary):
-                stripped = strip_sense(c.predicate)
-                lexical = has_sense(c.predicate) or stripped in by_pred
-                if lexical:
-                    recs = by_pred.get(stripped)
-                    if recs:
-                        heads = [r for r in recs if r.head]
-                        chosen = min(heads or recs, key=lambda r: r.token)
-                        if not 0 <= chosen.token < len(annotation.lemmas):
-                            raise PairingError(
-                                f"alignment token {chosen.token} of {c.predicate} is outside "
-                                f"the {len(annotation.lemmas)} lemmas")
-                        lemma = annotation.lemmas[chosen.token]
-                        if _SYMBOL_RE.match(lemma):
-                            raise PairingError(f"lemma {lemma!r} of {c.predicate} is spelled "
-                                               f"like a symbol")
-                        conds.append(replace(c, predicate=lemma))
-                        continue
-                    warnings += 1
-            conds.append(c)
-        boxes.append(replace(b, conditions=tuple(conds)))
-    return Drs(boxes=tuple(boxes), relations=d.relations, top=d.top), warnings
+
+    def relabel(predicate: str) -> str:
+        nonlocal warnings
+        stripped = strip_sense(predicate)
+        if not (has_sense(predicate) or stripped in by_pred):
+            return predicate
+        recs = by_pred.get(stripped)
+        if not recs:
+            warnings += 1
+            return predicate
+        heads = [r for r in recs if r.head]
+        chosen = min(heads or recs, key=lambda r: r.token)
+        if not 0 <= chosen.token < len(annotation.lemmas):
+            raise PairingError(f"alignment token {chosen.token} of {predicate} is outside "
+                               f"the {len(annotation.lemmas)} lemmas")
+        lemma = annotation.lemmas[chosen.token]
+        if _SYMBOL_RE.match(lemma):
+            raise PairingError(f"lemma {lemma!r} of {predicate} is spelled like a symbol")
+        if _spelled_like_keyword(lemma):
+            raise PairingError(f"lemma {lemma!r} of {predicate} is spelled like a keyword")
+        return lemma
+
+    reverted = _relabelled(d, relabel)
+    return reverted, warnings
 
 
 def canonicalize_variables(d: Drs) -> Drs:

@@ -37,7 +37,7 @@ from .drs import (
 from .errors import DataError, EmptyInput, MalformedSequence, MalformedTree, UnboundVariable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Node:
     label: str
     children: tuple["Node", ...] = ()
@@ -45,6 +45,23 @@ class Node:
     @property
     def is_leaf(self) -> bool:
         return not self.children
+
+    def __eq__(self, other: object) -> bool:
+        # on an explicit stack, so trees of any depth compare
+        if not isinstance(other, Node):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        return hash((self.label, len(self.children)))  # equal trees agree on both
 
 
 @dataclass(frozen=True)

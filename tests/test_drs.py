@@ -1,12 +1,14 @@
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import FIG1_CLAUSES, FIG1_LEMMAS, FIG1_TOKENS, random_drs
 
+from boxparse import drs as drs_module
 from boxparse.drs import (
     AlignmentRecord,
     Binary,
@@ -35,7 +37,7 @@ from boxparse.errors import (
     PairingError,
     UnknownOperator,
 )
-from boxparse.tree import from_tree, to_tree
+from boxparse.tree import delinearize, from_tree, linearize, to_tree
 
 
 class SimpleAnnotation:
@@ -147,6 +149,15 @@ class TestParseClauses:
     ])
     def test_symbol_like_labels_rejected(self, text):
         with pytest.raises(DataError, match="spelled like symbols"):
+            parse_clauses(text)
+
+    @pytest.mark.parametrize("text", [
+        "b1 REF x1\nb1 REF.n.01 x1\n",
+        "b1 REF x1\nb1 NOT.n.01 x1\n",
+        "b1 REF x1\nb1 REF x2\nb1 CONTINUATION.v.02 x1 x2\n",
+    ])
+    def test_keyword_like_labels_rejected(self, text):
+        with pytest.raises(DataError, match="spelled like keywords"):
             parse_clauses(text)
 
     def test_format_parse_round_trip(self, fig1_doc):
@@ -356,6 +367,20 @@ class TestRevertPredicates:
         with pytest.raises(PairingError, match="spelled like a symbol"):
             revert_predicates(d, ann)
 
+    @pytest.mark.parametrize("lemma", ["REF", "NOT.n.01"])
+    def test_keyword_like_lemma_raises_pairing_error(self, lemma):
+        d = parse_clauses("b1 REF e1\nb1 open.v.01 e1\n")
+        ann = SimpleAnnotation([lemma], [lemma], [AlignmentRecord(0, "open", head=True)])
+        with pytest.raises(PairingError, match="spelled like a keyword"):
+            revert_predicates(d, ann)
+
+
+# Predicate labels and lemmas for the relabelling property: plain,
+# sense-suffixed, and spelled like keywords or symbols.
+LABELS = ["dog", "dog.n.01", "A.n.01", "Ref.n.01", "REF.n.01", "NOT.n.01",
+          "CONTINUATION.v.02", "EQU", "x2.n.01"]
+LEMMAS = ["aprire", "A", "REF", "NOT.n.01", "NARRATION", "x1", "b2.n.01"]
+
 
 class TestValidate:
     def test_random_drs_validate(self, rng):
@@ -382,6 +407,49 @@ class TestValidate:
         d = Drs(boxes=(Box("b1", ("e1",), (Unary("run", "e1"),)), Box("b2")), top="b1")
         with pytest.raises(DataError):
             validate(d)
+
+    def test_failed_check_raises_again(self):
+        bad = Drs(boxes=(Box("b1", ("q1",), ()),), top="b1")
+        for _ in range(2):
+            with pytest.raises(DataError, match="bad referent name"):
+                validate(bad)
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.lists(st.sampled_from(LABELS), min_size=1, max_size=4),
+           st.sampled_from(LEMMAS))
+    @settings(max_examples=100, deadline=None)
+    def test_label_rewrites_keep_validity(self, seed, labels, lemma):
+        d = random_drs(np.random.default_rng(seed))
+        names = iter(labels)
+        d = Drs(tuple(replace(b, conditions=tuple(
+            Unary(next(names, c.predicate), c.argument) if isinstance(c, Unary) else c
+            for c in b.conditions)) for b in d.boxes), d.relations, d.top)
+        try:
+            validate(d)
+        except DataError:
+            return
+        ann = SimpleAnnotation([lemma], [lemma],
+                               [AlignmentRecord(0, label) for label in labels])
+        for rewrite in (strip_senses, lambda x: revert_predicates(x, ann)[0]):
+            try:
+                out = rewrite(d)
+            except PairingError:
+                continue
+            # the result passes on d's check; a fresh copy must pass its own
+            validate(Drs(out.boxes, out.relations, out.top))
+            assert parse_clauses(format_clauses(out)) == out
+
+    @pytest.mark.parametrize("text, checks", [(PRESUPPOSED, 3), (FORMAT_PROBE, 2)],
+                             ids=["presupposed", "no_presupposed"])
+    def test_round_trip_checks_each_new_drs_once(self, monkeypatch, text, checks):
+        # parse, merge (only with a presupposed box) and from_tree build new
+        # DRSs; strip_senses passes its input's check on, and to_tree reuses it
+        calls = []
+        check = drs_module._check
+        monkeypatch.setattr(drs_module, "_check", lambda d: calls.append(d) or check(d))
+        merged = strip_senses(merge_presuppositions(parse_clauses(text)))
+        from_tree(delinearize(linearize(to_tree(merged))))
+        assert len(calls) == checks
 
     def test_presupposed_flag_preserved_in_replace(self):
         b = Box("p1", ("x1",), (), presupposed=True)

@@ -109,6 +109,17 @@ class TestToTree:
             assert orig == got
 
 
+class TestNode:
+    def test_equality_compares_labels_and_shape(self):
+        t = Node("C1", (leaf("dog"), leaf("x1")))
+        assert t == Node("C1", (leaf("dog"), leaf("x1")))
+        assert hash(t) == hash(Node("C1", (leaf("dog"), leaf("x1"))))
+        assert t != Node("C1", (leaf("dog"), leaf("x2")))
+        assert t != Node("C1", (leaf("dog"), leaf("x1"), leaf("x1")))
+        assert t != Node("C2", (leaf("dog"), leaf("x1")))
+        assert t != "C1"
+
+
 class TestLinearize:
     def test_minimal_round_trip(self):
         t = DrsTree(Node("root", (leaf("leafy"),)))
@@ -223,6 +234,7 @@ class TestFromTree:
         ("(DRS (OP NOT (DRS ) (DRS ) ) )", DataError),
         ("(DRS (REF dog ) )", DataError),
         ("(DRS (REF x1 ) (C1 dog cat ) )", DataError),
+        ("(DRS (REF x1 ) (REF x2 ) (C2 EQU x1 x2 ) )", DataError),
         ("(SDRS (DRS ) (DRS ) (DRS ) (REL CONTINUATION K1 K9 ) )", MalformedTree),
         ("(SDRS (DRS ) (DRS ) (DRS ) (REL CONTINUATION K01 K2 ) )", MalformedTree),
     ])
@@ -235,8 +247,10 @@ class TestFromTree:
         text = "".join(f"b{i} REF x{i}\nb{i} dog x{i}\nb{i} NOT b{i + 1}\n"
                        for i in range(1, depth))
         d = parse_clauses(text + f"b{depth} REF x{depth}\nb{depth} dog x{depth}\n")
-        seq = linearize(to_tree(d))
-        # Node equality recurses per level, so compare DRSs and token tuples
+        t = to_tree(d)
+        seq = linearize(t)
+        assert delinearize(seq) == t
+        assert hash(delinearize(seq).root) == hash(t.root)
         assert from_tree(delinearize(seq)) == d
         assert linearize(delinearize(seq)) == seq
 
