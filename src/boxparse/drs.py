@@ -582,8 +582,9 @@ def revert_predicates(d: Drs, annotation) -> tuple[Drs, int]:
     (sense-stripped) label appears in the alignment records. If several
     tokens align to one predicate the head-marked token wins, leftmost on
     ties. Lexical predicates with no alignment keep their label; the count
-    of such cases is returned alongside the new DRS. A lemma spelled like a
-    symbol or a keyword raises PairingError.
+    of such cases is returned alongside the new DRS. A lemma that is empty,
+    holds whitespace or is spelled like a symbol or a keyword raises
+    PairingError, since the clause format could not write it back.
     """
     by_pred: dict[str, list[AlignmentRecord]] = {}
     for rec in annotation.alignments:
@@ -605,6 +606,8 @@ def revert_predicates(d: Drs, annotation) -> tuple[Drs, int]:
             raise PairingError(f"alignment token {chosen.token} of {predicate} is outside "
                                f"the {len(annotation.lemmas)} lemmas")
         lemma = annotation.lemmas[chosen.token]
+        if not lemma or any(ch.isspace() for ch in lemma):
+            raise PairingError(f"lemma {lemma!r} of {predicate} is empty or holds whitespace")
         if _SYMBOL_RE.match(lemma):
             raise PairingError(f"lemma {lemma!r} of {predicate} is spelled like a symbol")
         if _spelled_like_keyword(lemma):

@@ -7,6 +7,13 @@ that maximizes matched clauses, then reports precision, recall and F1,
 plus a four-way category breakdown under the fixed best alignment. The
 search policy is fixed: hill climbing from a greedy start plus 19 random
 starts seeded with 0, keeping the best, so a pair always gets one score.
+
+A climb's moves reassign one predicted symbol to a free gold symbol of its
+sort, or swap the images of two predicted symbols of one sort. Each move is
+scored by its delta: only the clauses that hold a moved symbol are renamed
+again. Unmapping a symbol is not a move, because its clauses would become
+placeholders that match no gold clause, so it can never gain. A report
+carries the search statistics: the moves applied and the moves scored.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ class ClauseSet:
 @dataclass(frozen=True)
 class Alignment:
     mapping: "dict[str, str]"  # predicted symbol -> gold symbol, injective
+    climb_steps: int = 0  # moves applied, over every climb of the search
+    evaluations: int = 0  # moves scored, over every climb of the search
 
     def __post_init__(self):
         values = list(self.mapping.values())
@@ -45,12 +54,14 @@ class Alignment:
             raise DataError("alignment must be injective")
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoreReport:
     matched: int
     n_predicted: int
     n_gold: int
     per_category: "dict[str, ScoreReport]" = field(default_factory=dict)
+    climb_steps: int = 0  # search statistics of best_alignment
+    evaluations: int = 0
 
     @property
     def precision(self) -> float:
@@ -149,67 +160,123 @@ def _random_init(pred_by_sort: dict[str, list[str]], gold_by_sort: dict[str, lis
     return mapping
 
 
+def _assign(mapping: dict[str, str], change: dict) -> None:
+    """Apply a move in place; a symbol moved to None becomes unmapped."""
+    for s, g in change.items():
+        if g is None:
+            del mapping[s]
+        else:
+            mapping[s] = g
+
+
 def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
-           pred_by_sort: dict[str, list[str]],
-           gold_by_sort: dict[str, list[str]]) -> tuple[dict[str, str], int]:
-    """Steepest ascent: apply the single reassignment, unmapping or swap
-    with the largest gain until none gains. Each step matches at least one
-    more clause, so a climb ends within ``len(pred)`` steps."""
+           pred_by_sort: dict[str, list[str]], gold_by_sort: dict[str, list[str]],
+           touching: dict[str, set[int]]) -> tuple[dict[str, str], int, int, int]:
+    """Steepest ascent: apply the single reassignment or swap with the
+    largest gain until none gains; the first of equal gains wins. Each step
+    matches at least one more clause, so a climb ends within ``len(pred)``
+    steps. Returns the mapping, its matched count, the steps taken and the
+    moves scored.
+
+    The climb keeps every predicted clause renamed under the current
+    mapping and a running count of those renamings. A move is scored by
+    applying it in place, renaming only the clauses that ``touching`` says
+    hold a moved symbol, and undoing it; its gain is the change in matched
+    clauses from removing their old renamings and adding the new ones.
+    Unmapping a symbol alone is never proposed: it turns its clauses into
+    placeholders that match no gold clause, so it cannot gain.
+    """
+    clauses, sorts = pred.clauses, pred.sorts
     current = dict(mapping)
+    renamed = [rename_clause(c, sorts, current) for c in clauses]
+    counts = Counter(renamed)
     score = _count_against(pred, gold_counts, current)
-    psyms = sorted(pred.sorts)
+    steps = evaluations = 0
+
+    def rename_touched(touched: set[int]) -> tuple[list[tuple[int, Clause]], int]:
+        # the touched clauses renamed under ``current``, and the gain over ``renamed``
+        moved = []
+        delta: dict[Clause, int] = {}  # net change per renamed clause that gold holds
+        for i in touched:
+            old, new = renamed[i], rename_clause(clauses[i], sorts, current)
+            moved.append((i, new))
+            if old in gold_counts:
+                delta[old] = delta.get(old, 0) - 1
+            if new in gold_counts:
+                delta[new] = delta.get(new, 0) + 1
+        gain = 0
+        for c, d in delta.items():
+            n, g = counts[c], gold_counts[c]
+            gain += min(n + d, g) - min(n, g)
+        return moved, gain
+
+    psyms = sorted(sorts)
     while True:
-        best_gain, best_map = 0, None
+        best_gain, best_move = 0, None
         used = set(current.values())
         for p in psyms:
-            sort = pred.sorts[p]
+            sort = sorts[p]
             image = current.get(p)
-            # reassign p to a free gold symbol, unmap it, or swap images
-            # with a later predicted symbol of its sort; None unmaps
-            changes = [{p: g} for g in gold_by_sort.get(sort, ()) if g not in used]
-            if image is not None:
-                changes.append({p: None})
-            changes += [{p: current.get(q), q: image} for q in pred_by_sort[sort]
-                        if q > p and current.get(q) != image]
-            for change in changes:
-                cand = dict(current)
-                for s, g in change.items():
-                    if g is None:
-                        del cand[s]
-                    else:
-                        cand[s] = g
-                gain = _count_against(pred, gold_counts, cand) - score
+            # reassign p to a free gold symbol, or swap images with a later
+            # predicted symbol of its sort, where one image may be None
+            moves = [({p: g}, touching[p]) for g in gold_by_sort.get(sort, ())
+                     if g not in used]
+            moves += [({p: current.get(q), q: image}, touching[p] | touching[q])
+                      for q in pred_by_sort[sort] if q > p and current.get(q) != image]
+            evaluations += len(moves)
+            for change, touched in moves:
+                undo = {s: current.get(s) for s in change}
+                _assign(current, change)
+                moved, gain = rename_touched(touched)
+                _assign(current, undo)
                 if gain > best_gain:
-                    best_gain, best_map = gain, cand
-        if best_map is None:
-            return current, score
-        current = best_map
+                    best_gain, best_move = gain, (change, moved)
+        if best_move is None:
+            return current, score, steps, evaluations
+        change, moved = best_move
+        _assign(current, change)
+        for i, new in moved:
+            counts[renamed[i]] -= 1
+            counts[new] += 1
+            renamed[i] = new
         score += best_gain
+        steps += 1
 
 
 def best_alignment(pred: ClauseSet, gold: ClauseSet) -> tuple[Alignment, int]:
     """Search for the symbol alignment maximizing matched clauses.
 
     The returned count is a lower bound on the true optimum; on small
-    symbol sets the greedy start plus random restarts reach it.
+    symbol sets the greedy start plus random restarts reach it. The
+    alignment carries the search statistics summed over all climbs.
     """
     gold_counts = Counter(gold.clauses)
     pred_by_sort, gold_by_sort = _by_sort(pred.sorts), _by_sort(gold.sorts)
+    touching: dict[str, set[int]] = {s: set() for s in pred.sorts}  # symbol -> clause indices
+    for i, c in enumerate(pred.clauses):
+        for tok in c:
+            if tok in touching:
+                touching[tok].add(i)
     rng = np.random.default_rng(SEED)
-    best_map, best_score = _climb(pred, gold_counts, _smart_init(pred, gold),
-                                  pred_by_sort, gold_by_sort)
-    for _ in range(RESTARTS - 1):
-        start = _random_init(pred_by_sort, gold_by_sort, rng)
-        mapping, score = _climb(pred, gold_counts, start, pred_by_sort, gold_by_sort)
+    best_map, best_score, steps, evaluations = {}, -1, 0, 0
+    for restart in range(RESTARTS):
+        start = (_random_init(pred_by_sort, gold_by_sort, rng) if restart
+                 else _smart_init(pred, gold))
+        mapping, score, n_steps, n_evaluations = _climb(
+            pred, gold_counts, start, pred_by_sort, gold_by_sort, touching)
+        steps += n_steps
+        evaluations += n_evaluations
         if score > best_score:
             best_map, best_score = mapping, score
-    return Alignment(mapping=best_map), best_score
+    return Alignment(mapping=best_map, climb_steps=steps, evaluations=evaluations), best_score
 
 
 def score(pred: Drs, gold: Drs, lexical_labels: frozenset[str] | None = None) -> ScoreReport:
     pred_cs, gold_cs = to_clauses(pred), to_clauses(gold)
     alignment, matched = best_alignment(pred_cs, gold_cs)
-    report = ScoreReport(matched=matched, n_predicted=len(pred_cs), n_gold=len(gold_cs))
+    report = ScoreReport(matched=matched, n_predicted=len(pred_cs), n_gold=len(gold_cs),
+                         climb_steps=alignment.climb_steps,
+                         evaluations=alignment.evaluations)
     if lexical_labels is not None:
         report.per_category = category_breakdown(pred_cs, gold_cs, alignment, lexical_labels)
     return report
@@ -227,7 +294,9 @@ def micro_average(reports: list[ScoreReport]) -> ScoreReport:
 def _summed(reports: list[ScoreReport]) -> ScoreReport:
     return ScoreReport(matched=sum(r.matched for r in reports),
                        n_predicted=sum(r.n_predicted for r in reports),
-                       n_gold=sum(r.n_gold for r in reports))
+                       n_gold=sum(r.n_gold for r in reports),
+                       climb_steps=sum(r.climb_steps for r in reports),
+                       evaluations=sum(r.evaluations for r in reports))
 
 
 def categorize_clause(clause: Clause, sorts: dict[str, str],

@@ -37,7 +37,7 @@ from .drs import (
 from .errors import DataError, EmptyInput, MalformedSequence, MalformedTree, UnboundVariable
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Node:
     label: str
     children: tuple["Node", ...] = ()
@@ -62,6 +62,24 @@ class Node:
 
     def __hash__(self) -> int:
         return hash((self.label, len(self.children)))  # equal trees agree on both
+
+    def __repr__(self) -> str:
+        # the dataclass repr, built on an explicit stack of nodes and the
+        # text that follows their children, so trees of any depth print
+        parts: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            parts.append(f"Node(label={item.label!r}, children=(")
+            stack.append(",))" if len(item.children) == 1 else "))")
+            for i in reversed(range(len(item.children))):
+                stack.append(item.children[i])
+                if i:
+                    stack.append(", ")
+        return "".join(parts)
 
 
 @dataclass(frozen=True)

@@ -374,6 +374,14 @@ class TestRevertPredicates:
         with pytest.raises(PairingError, match="spelled like a keyword"):
             revert_predicates(d, ann)
 
+    @pytest.mark.parametrize("lemma", ["sit down", ""])
+    def test_blank_lemma_raises_pairing_error(self, lemma):
+        # format_clauses would write "b1 sit down e1", which does not re-parse
+        d = parse_clauses("b1 REF e1\nb1 sit.v.01 e1\n")
+        ann = SimpleAnnotation([lemma], [lemma], [AlignmentRecord(0, "sit", head=True)])
+        with pytest.raises(PairingError, match="empty or holds whitespace"):
+            revert_predicates(d, ann)
+
 
 # Predicate labels and lemmas for the relabelling property: plain,
 # sense-suffixed, and spelled like keywords or symbols.

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_best_match, random_drs, small_drs_for_alignment
+from helpers import (
+    brute_force_best_match,
+    oracle_match_count,
+    random_drs,
+    small_drs_for_alignment,
+)
 
 from boxparse.drs import canonicalize_variables, parse_clauses, strip_senses
 from boxparse.errors import DataError
@@ -91,6 +96,34 @@ class TestBestAlignment:
             rep = score(a, b)
             assert rep.matched <= min(rep.n_predicted, rep.n_gold)
 
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_count_is_the_count_of_its_mapping(self, seed):
+        # The climb keeps its count by deltas; a recount of the returned
+        # mapping must agree. Mostly the prediction is a renamed copy of gold
+        # with some symbol uses moved to another symbol of their sort, whose
+        # conflicting evidence makes the climb undo matches and redo them.
+        rng = np.random.default_rng(seed)
+        gold_drs = random_drs(rng, max_boxes=6, max_conditions=20)
+        if rng.random() < 0.25:
+            pred = to_clauses(random_drs(rng, max_boxes=6, max_conditions=20))
+        else:
+            copy = to_clauses(renamed_copy(gold_drs))
+            peers = {s: [t for t in sorted(copy.sorts) if copy.sorts[t] == sort]
+                     for s, sort in copy.sorts.items()}
+
+            def moved(tok):
+                if tok in peers and rng.random() < 0.3:
+                    return peers[tok][int(rng.integers(len(peers[tok])))]
+                return tok
+
+            pred = ClauseSet(clauses=tuple(tuple(moved(t) for t in c) for c in copy.clauses),
+                             sorts=copy.sorts)
+        gold = to_clauses(gold_drs)
+        alignment, matched = best_alignment(pred, gold)
+        assert matched == oracle_match_count(pred.clauses, pred.sorts, gold.clauses,
+                                             alignment.mapping)
+
     def test_alignment_is_injective(self):
         with pytest.raises(DataError):
             Alignment(mapping={"x1": "x9", "x2": "x9"})
@@ -127,6 +160,18 @@ class TestScore:
         assert total.matched == 4
         assert total.precision == 1.0
         assert total.recall == pytest.approx(4 / 6)
+
+    def test_search_statistics_sum_in_micro_average(self, fig1_drs):
+        gold = strip_senses(fig1_drs)
+        pred = parse_clauses("b1 REF e1\nb1 open e1\nb1 Agent e1 \"speaker\"\n"
+                             "b1 REF x1\nb1 laptop x1\nb1 Theme e1 x1\n")
+        reports = [score(renamed_copy(gold), gold), score(pred, gold)]
+        for rep in reports:
+            assert rep.climb_steps > 0
+            assert rep.evaluations > rep.climb_steps
+        total = micro_average(reports)
+        assert total.climb_steps == sum(r.climb_steps for r in reports)
+        assert total.evaluations == sum(r.evaluations for r in reports)
 
     def test_renaming_invariance(self, rng):
         for _ in range(10):

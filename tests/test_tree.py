@@ -119,6 +119,22 @@ class TestNode:
         assert t != Node("C2", (leaf("dog"), leaf("x1")))
         assert t != "C1"
 
+    def test_repr_of_deep_not_chain(self):
+        depth = 5000
+        text = "".join(f"b{i} NOT b{i + 1}\n" for i in range(1, depth))
+        t = to_tree(parse_clauses(text + f"b{depth} REF x1\nb{depth} dog x1\n"))
+        rendered = repr(t)
+        assert rendered.startswith("DrsTree(root=Node(label='DRS', children=(Node(label='OP', ")
+        assert rendered.count("Node(label='NOT'") == depth - 1
+
+    def test_repr_is_the_field_repr(self):
+        assert repr(Node("REF", (leaf("x1"),))) == \
+            "Node(label='REF', children=(Node(label='x1', children=()),))"
+        t = Node("C2", (leaf("Agent"), leaf("e1"), leaf('"now"')))
+        assert repr(t) == ("Node(label='C2', children=(Node(label='Agent', children=()), "
+                           "Node(label='e1', children=()), "
+                           "Node(label='\"now\"', children=())))")
+
 
 class TestLinearize:
     def test_minimal_round_trip(self):
