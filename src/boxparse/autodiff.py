@@ -1,9 +1,11 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 Only the operations a recurrent attention encoder-decoder composes are
-provided: matmul, concat, elementwise add/mul, tanh, sigmoid, dot,
-embedding lookup, masked softmax and softmax cross-entropy, and reductions.
-No broadcasting beyond row-bias addition and scalar scaling.
+provided: products, concat, elementwise add/mul, tanh, embedding lookup,
+masked softmax and softmax cross-entropy, and reductions. ``matmul``
+multiplies a matrix by a matrix or by a vector (a row on its left, a column
+on its right), and ``dot`` two vectors. No broadcasting beyond row-bias
+addition and scalar scaling.
 
 A computation graph is the set of Tensors linked through ``_parents``;
 ``backward`` walks it once in reverse topological order and accumulates
@@ -88,13 +90,8 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise add; also supports matrix + row bias and anything + scalar."""
-    if a.data.shape == b.data.shape:
-        pass
-    elif a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
-        pass
-    elif b.data.ndim == 0 or a.data.ndim == 0:
-        pass
-    else:
+    if not (a.data.shape == b.data.shape or a.data.ndim == 0 or b.data.ndim == 0
+            or a.data.ndim == 2 and b.data.shape == a.data.shape[1:]):
         raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
     out_data = a.data + b.data
 
@@ -106,21 +103,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _acc_reduced(t: Tensor, g: np.ndarray) -> None:
-    """Accumulate g into t, summing over axes that were broadcast."""
+    """Accumulate g into t, summing the leading axes that broadcasting added."""
     if not _wants_grad(t):
         return
-    if t.data.shape == g.shape:
-        t._accumulate(g)
-    elif t.data.ndim == 0:
-        t._accumulate(g.sum())
-    elif t.data.ndim == 1 and g.ndim == 2:
-        t._accumulate(g.sum(axis=0))
-    else:
+    if g.ndim > t.data.ndim:
+        g = g.sum(axis=tuple(range(g.ndim - t.data.ndim)))
+    if g.shape != t.data.shape:
         raise ShapeError(f"gradient shape {g.shape} does not reduce to {t.data.shape}")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
+    t._accumulate(g)
 
 
 def scale(a: Tensor, k: float) -> Tensor:
@@ -146,43 +136,38 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim == 0 or b.data.ndim == 0:
+    if not (1 <= a.data.ndim <= 2 and 1 <= b.data.ndim <= 2):
         raise ShapeError("matmul requires 1D or 2D operands")
+    if a.data.ndim == b.data.ndim == 1:
+        raise ShapeError("matmul of two vectors: use dot")
     try:
         out_data = a.data @ b.data
     except ValueError as e:
         raise ShapeError(str(e)) from e
 
     def bwd(g):
+        # each operand's gradient is g contracted with the other operand
         ad, bd = a.data, b.data
-        if ad.ndim == 1 and bd.ndim == 2:      # (k,) @ (k,m) -> (m,)
-            if _wants_grad(a):
-                a._accumulate(bd @ g)
-            if _wants_grad(b):
-                b._accumulate(np.outer(ad, g))
-        elif ad.ndim == 2 and bd.ndim == 1:    # (n,k) @ (k,) -> (n,)
-            if _wants_grad(a):
-                a._accumulate(np.outer(g, bd))
-            if _wants_grad(b):
-                b._accumulate(ad.T @ g)
-        elif ad.ndim == 2 and bd.ndim == 2:
-            if _wants_grad(a):
-                a._accumulate(g @ bd.T)
-            if _wants_grad(b):
-                b._accumulate(ad.T @ g)
-        else:                                   # (k,) @ (k,) -> ()
-            if _wants_grad(a):
-                a._accumulate(g * bd)
-            if _wants_grad(b):
-                b._accumulate(g * ad)
+        if _wants_grad(a):
+            a._accumulate(g @ bd.T if bd.ndim == 2 else np.multiply.outer(g, bd))
+        if _wants_grad(b):
+            b._accumulate(ad.T @ g if ad.ndim == 2 else np.multiply.outer(ad, g))
 
     return _make(out_data, (a, b), bwd)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
+    """Inner product of two equal-length vectors, as a 0-d tensor."""
     if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
         raise ShapeError(f"dot: need equal 1D shapes, got {a.data.shape}, {b.data.shape}")
-    return matmul(a, b)
+
+    def bwd(g):
+        if _wants_grad(a):
+            a._accumulate(g * b.data)
+        if _wants_grad(b):
+            b._accumulate(g * a.data)
+
+    return _make(a.data @ b.data, (a, b), bwd)
 
 
 def concat(parts: list[Tensor]) -> Tensor:
@@ -201,8 +186,7 @@ def concat(parts: list[Tensor]) -> Tensor:
         off = 0
         for p in parts:
             n = p.data.size
-            if _wants_grad(p):
-                p._accumulate(g[off:off + n].reshape(p.data.shape))
+            _acc_reduced(p, g[off:off + n].reshape(p.data.shape))
             off += n
 
     return _make(out_data, tuple(parts), bwd)
@@ -213,15 +197,6 @@ def tanh(a: Tensor) -> Tensor:
 
     def bwd(g):
         _acc_reduced(a, g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), bwd)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bwd(g):
-        _acc_reduced(a, g * out_data * (1.0 - out_data))
 
     return _make(out_data, (a,), bwd)
 

@@ -17,10 +17,11 @@ Clause file format (UTF-8, LF, one clause per line, whitespace separated):
     b2 NOT b4                                   operator condition
 
 Token conventions: box ids match ``[bp][0-9]+`` ('p' marks a presupposed
-box), variables match ``[xets][0-9]+``, operator and relation labels are
-fully uppercase, roles are capitalized, predicates lowercase, and no
-label looks like a symbol or a keyword, with or without a sense suffix.
-DRSs in one file are separated by blank lines.
+box), variables match ``[xets][0-9]+``, constants are quoted, operator and
+relation labels are fully uppercase, roles are capitalized, predicates
+lowercase, and no label looks like a symbol or a keyword, with or without
+a sense suffix. No token holds whitespace. DRSs in one file are separated
+by blank lines.
 
 All values are immutable; every operation returns a new structure. A Drs
 remembers that it passed ``validate``, and the label-only rewrites
@@ -49,40 +50,55 @@ VARIABLE_SORTS = ("x", "e", "t", "s")
 UNARY_OPERATORS = frozenset({"NOT", "POS", "NEC"})
 BINARY_OPERATORS = frozenset({"IMP", "DIS", "DUP"})
 OPERATORS = UNARY_OPERATORS | BINARY_OPERATORS
+ANTECEDENT_OPERATORS = frozenset({"IMP", "DUP"})  # the first box is open for the second
 
-_VAR_RE = re.compile(r"^([xets])([0-9]+)$")
-_BOX_RE = re.compile(r"^([bp])([0-9]+)$")
-_SYMBOL_RE = re.compile(r"^[xetsbp][0-9]+(\.[a-z]+\.[0-9]+)?$")
-_SENSE_RE = re.compile(r"^([^.]+)\.[a-z]+\.[0-9]+$")
+_VAR_RE = re.compile(r"[xets][0-9]+")
+_BOX_RE = re.compile(r"[bp][0-9]+")
+_SENSE_RE = re.compile(r"([^.]+)\.[a-z]+\.[0-9]+")
+_SPACE_RE = re.compile(r"\s")  # what splits a clause line into tokens
 
 
 def is_variable(token: str) -> bool:
-    return _VAR_RE.match(token) is not None
+    return _VAR_RE.fullmatch(token) is not None
 
 
 def is_box_id(token: str) -> bool:
-    return _BOX_RE.match(token) is not None
+    return _BOX_RE.fullmatch(token) is not None
 
 
 def is_constant(token: str) -> bool:
-    return len(token) >= 2 and token.startswith('"') and token.endswith('"')
+    return len(token) >= 2 and token[0] == token[-1] == '"' and not _SPACE_RE.search(token)
+
+
+def _is_keyword(token: str) -> bool:
+    """Whether the parser reads ``token`` as REF, an operator or a relation."""
+    return token.isupper() and len(token) > 1
 
 
 def variable_sort(name: str) -> str:
-    m = _VAR_RE.match(name)
-    if m is None:
+    if not is_variable(name):
         raise DataError(f"not a variable: {name!r}")
-    return m.group(1)
+    return name[0]
 
 
 def strip_sense(label: str) -> str:
     """Remove a trailing ``.pos.NN`` sense suffix; anything else is untouched."""
-    m = _SENSE_RE.match(label)
+    m = _SENSE_RE.fullmatch(label)
     return m.group(1) if m else label
 
 
-def has_sense(label: str) -> bool:
-    return _SENSE_RE.match(label) is not None
+def _label_fault(label: str) -> tuple[str, str] | None:
+    """Why ``label`` cannot be a predicate, role or lemma, said of one label
+    and of several; None if it can. Clause text must read it back as itself:
+    one token that, sense stripped, is spelled like no symbol or keyword."""
+    if not label or _SPACE_RE.search(label):
+        return "is empty or holds whitespace", "empty or holding whitespace"
+    stripped = strip_sense(label)
+    if is_variable(stripped) or is_box_id(stripped):
+        return "is spelled like a symbol", "spelled like symbols"
+    if _is_keyword(stripped):
+        return "is spelled like a keyword", "spelled like keywords"
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,10 +126,6 @@ class Binary:
 class Operator:
     op: str
     boxes: tuple[str, ...]
-
-    @property
-    def args(self) -> tuple[str, ...]:
-        return ()
 
 
 Condition = Union[Unary, Binary, Operator]
@@ -190,11 +202,31 @@ def _ancestor_chain(box_id: str, parents: dict[str, str]) -> list[str]:
     return chain
 
 
-def _spelled_like_keyword(label: str) -> bool:
-    """Whether the parser reads ``label``, sense stripped, as a keyword:
-    REF, an operator and a relation are all uppercase and longer than 1."""
-    stripped = strip_sense(label)
-    return stripped.isupper() and len(stripped) > 1
+def _argument_fault(c: Unary | Binary, arg: str) -> str | None:
+    """Why ``arg`` cannot be an argument of ``c``, or None: an argument is a
+    variable or a quoted constant, and a unary predicate takes a variable."""
+    if is_variable(arg) or is_constant(arg) and isinstance(c, Binary):
+        return None
+    if is_constant(arg):
+        return f"unary predicate {c.predicate} takes a variable, got constant {arg}"
+    return f"argument {arg!r} is neither a variable nor a quoted constant"
+
+
+def _in_text_order(d: Drs) -> Drs:
+    """``d`` with its boxes in the order ``parse_clauses`` reads them back
+    from ``format_clauses(d)``: those that host a line in their own order,
+    then the others by first mention."""
+    if all(b.referents or b.conditions for b in d.boxes):
+        return d  # every box hosts a line
+    tokens = format_clauses(d).split()
+    first = dict(zip(reversed(tokens), range(len(tokens) - 1, -1, -1)))  # token -> position
+    boxes = tuple(sorted(d.boxes, key=lambda b: -1 if _hosts_line(d, b)
+                         else first.get(b.id, len(tokens))))
+    return d if boxes == d.boxes else Drs(boxes, d.relations, d.top)
+
+
+def _hosts_line(d: Drs, b: Box) -> bool:
+    return bool(b.referents or b.conditions or b.id == d.top and d.relations)
 
 
 def validate(d: Drs) -> Drs:
@@ -206,8 +238,13 @@ def validate(d: Drs) -> Drs:
     ancestors, plus the antecedent of every IMP/DUP whose consequent is
     among them; boxes nested inside an antecedent stay private. Every box
     must descend from the top or a presupposed box, and nesting is acyclic.
-    No predicate or role label may be spelled like a symbol or a keyword,
-    with or without a sense suffix.
+
+    A valid DRS reads back equal from its clause text, up to box order (the
+    parser, ``merge_presuppositions`` and ``from_tree`` give the text's).
+    So predicate and role labels are single tokens spelled like no symbol or
+    keyword, with or without a sense suffix; relation labels are keywords
+    other than REF and the operators; the top box is not presupposed; and
+    every box hosts a clause or is named by one.
 
     A Drs that passed is remembered, so checking it again costs nothing. A
     failure is not remembered: the same value raises again.
@@ -222,11 +259,13 @@ def _check(d: Drs) -> None:
     known = d._by_id
     if d.top not in known:
         raise DataError(f"top box {d.top!r} does not exist")
+    if known[d.top].presupposed:
+        raise DataError(f"top box {d.top} is presupposed")
     declared: dict[str, str] = {}
     labels: set[str] = set()  # of unary predicates and binary roles
     for b in d.boxes:
-        if len(set(b.referents)) != len(b.referents):
-            raise DuplicateReferent(f"duplicate referent in box {b.id}")
+        if not is_box_id(b.id) or b.presupposed != (b.id[0] == "p"):  # 'p' marks presupposed
+            raise DataError(f"bad box id {b.id!r} for presupposed={b.presupposed}")
         for v in b.referents:
             if not is_variable(v):
                 raise DataError(f"bad referent name {v!r} in box {b.id}")
@@ -245,13 +284,13 @@ def _check(d: Drs) -> None:
                         raise DataError(f"operator references unknown box {ref!r}")
             else:
                 labels.add(c.predicate if isinstance(c, Unary) else c.role)
-    bad = sorted(filter(_SYMBOL_RE.match, labels))
-    if bad:
-        raise DataError(f"labels spelled like symbols: {bad}")
-    bad = sorted(filter(_spelled_like_keyword, labels))
-    if bad:
-        raise DataError(f"labels spelled like keywords: {bad}")
+    for label in sorted(labels):
+        if fault := _label_fault(label):
+            bad = sorted(x for x in labels if _label_fault(x) == fault)
+            raise DataError(f"labels {fault[1]}: {bad}")
     for label, a, bb in d.relations:
+        if not _is_keyword(label) or _SPACE_RE.search(label) or label in ("REF", *OPERATORS):
+            raise DataError(f"bad relation label {label!r}")
         for ref in (a, bb):
             if ref not in known:
                 raise DataError(f"relation {label} references unknown box {ref!r}")
@@ -262,6 +301,9 @@ def _check(d: Drs) -> None:
     stray = [b.id for b in roots if b.id != d.top and not b.presupposed]
     if stray:
         raise DataError(f"boxes unreachable from top: {sorted(stray)}")
+    unnamed = [b.id for b in roots if not _hosts_line(d, b)]
+    if unnamed:
+        raise DataError(f"boxes that no clause hosts or names: {sorted(unnamed)}")
     children: dict[str, list[str]] = {}
     for child, par in parents.items():
         children.setdefault(par, []).append(child)
@@ -286,19 +328,14 @@ def _check(d: Drs) -> None:
         antecedent: dict[str, str] = {}
         for c in b.conditions:
             if isinstance(c, Operator):
-                if c.op in ("IMP", "DUP"):
+                if c.op in ANTECEDENT_OPERATORS:
                     antecedent[c.boxes[1]] = c.boxes[0]
                 continue
             for arg in c.args:
                 home = declared.get(arg)  # a declared name is a variable
-                if home is None and is_constant(arg):
-                    if isinstance(c, Unary):
-                        raise DataError(f"unary predicate {c.predicate} takes a variable, "
-                                        f"got constant {c.argument}")
-                    continue
-                if home is None and not is_variable(arg):
-                    raise DataError(f"argument {arg!r} is neither a variable nor a quoted constant")
-                if home not in open_boxes and home not in presupposed:
+                if home is None and (fault := _argument_fault(c, arg)):
+                    raise DataError(fault)
+                if home not in open_boxes and home not in presupposed and not is_constant(arg):
                     raise UnboundVariable(f"variable {arg} used in box {b.id} but not accessible")
         for child in reversed(children.get(box_id, ())):
             stack.append((child, (antecedent[child],) if child in antecedent else ()))
@@ -363,9 +400,8 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
     if not clause_lines:
         raise EmptyInput("no clause lines")
 
-    # Boxes are ordered by the first line each hosts, then boxes that host
-    # none, in order of first mention: the order format_clauses writes.
     hosted: dict[str, tuple[list[str], list[Condition]]] = {}
+    declared: set[str] = set()  # by REF lines, so variables
     mentioned: dict[str, None] = {}
     embedded: set[str] = set()
     relations: list[tuple[str, str, str]] = []
@@ -391,12 +427,13 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
             if not is_variable(args[0]):
                 raise DataError(f"line {n}: bad referent name {args[0]!r}")
             referents.append(args[0])
+            declared.add(args[0])
         elif kw in OPERATORS:
             for a in args:
                 touch(a)
             embedded.update(args)
             conditions.append(Operator(kw, tuple(args)))
-        elif kw.isupper() and len(kw) > 1:
+        elif _is_keyword(kw):
             if len(args) == 2 and is_box_id(args[0]) and is_box_id(args[1]):
                 for a in args:
                     touch(a)
@@ -405,12 +442,14 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
                 relation_hosts.append((n, host))
             else:
                 raise UnknownOperator(f"line {n}: unknown operator {kw!r}")
-        elif len(args) == 1:
-            conditions.append(Unary(kw, args[0]))
-        elif len(args) == 2:
-            conditions.append(Binary(kw, args[0], args[1]))
-        else:
+        elif len(args) > 2:
             raise DataError(f"line {n}: predicate clause with {len(args)} arguments")
+        else:
+            c = Unary(kw, args[0]) if len(args) == 1 else Binary(kw, *args)
+            for a in args:
+                if a not in declared and (fault := _argument_fault(c, a)):
+                    raise DataError(f"line {n}: {fault}")
+            conditions.append(c)
     for box_id in mentioned:
         hosted.setdefault(box_id, ([], []))
 
@@ -423,7 +462,7 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
             raise DataError(f"line {n}: relation hosted at {host}, expected top box {top}")
     boxes = tuple(Box(id=b, referents=tuple(refs), conditions=tuple(conds),
                       presupposed=b.startswith("p")) for b, (refs, conds) in hosted.items())
-    d = Drs(boxes=boxes, relations=tuple(relations), top=top)
+    d = _in_text_order(Drs(boxes=boxes, relations=tuple(relations), top=top))
     return ClauseDocument(drs=validate(d), alignments=tuple(alignments),
                           comments=tuple(comments))
 
@@ -461,7 +500,8 @@ def box_clauses(box: Box) -> Iterator[tuple[str, ...]]:
 
 
 def format_clauses(doc: ClauseDocument | Drs) -> str:
-    """Canonical clause-file text; parse(format(d)) round-trips exactly."""
+    """Canonical clause-file text, the boxes in stored order. ``parse_clauses``
+    reads a valid DRS back equal, up to box order (see ``validate``)."""
     if isinstance(doc, Drs):
         doc = ClauseDocument(drs=doc)
     d = doc.drs
@@ -470,12 +510,9 @@ def format_clauses(doc: ClauseDocument | Drs) -> str:
         out.append(f"% {c}")
     for rec in doc.alignments:
         out.append(f"% {rec.token} {rec.predicate}" + (" head" if rec.head else ""))
-    for label, a, b in d.relations:
-        out.append(f"{d.top} {label} {a} {b}")
-    # top box first: its relation lines come first, and the parser orders
-    # boxes by the first line each hosts
-    boxes = sorted(d.boxes, key=lambda b: b.id != d.top)
-    for box in boxes:
+    for box in d.boxes:
+        if box.id == d.top:  # the top hosts the relations, first in its block
+            out.extend(f"{d.top} {label} {a} {b}" for label, a, b in d.relations)
         out.extend(map(" ".join, box_clauses(box)))
     return "\n".join(out) + "\n"
 
@@ -536,17 +573,11 @@ def merge_presuppositions(d: Drs) -> Drs:
         uses[target] |= uses.pop(box.id)
         for x in consumers:
             uses[x].add(target)  # the box's referents now live in target
-    boxes = []
-    for b in d.boxes:
-        if b.id not in uses:
-            continue  # merged away
-        if b.id in added or b.presupposed:
-            referents, conditions = added.get(b.id, ((), ()))
-            b = Box(b.id, b.referents + tuple(referents), b.conditions + tuple(conditions),
-                    presupposed=False)
-        boxes.append(b)
+    boxes = tuple(b if b.id not in added else Box(b.id, b.referents + tuple(added[b.id][0]),
+                                                  b.conditions + tuple(added[b.id][1]))
+                  for b in d.boxes if b.id in uses)  # the others merged away
     try:
-        return validate(Drs(boxes=tuple(boxes), relations=d.relations, top=d.top))
+        return validate(_in_text_order(Drs(boxes, d.relations, d.top)))
     except (UnboundVariable, DataError) as e:
         raise AmbiguousMerge(f"merging presupposed boxes broke accessibility: {e}") from e
 
@@ -594,7 +625,7 @@ def revert_predicates(d: Drs, annotation) -> tuple[Drs, int]:
     def relabel(predicate: str) -> str:
         nonlocal warnings
         stripped = strip_sense(predicate)
-        if not (has_sense(predicate) or stripped in by_pred):
+        if stripped == predicate and stripped not in by_pred:
             return predicate
         recs = by_pred.get(stripped)
         if not recs:
@@ -606,12 +637,8 @@ def revert_predicates(d: Drs, annotation) -> tuple[Drs, int]:
             raise PairingError(f"alignment token {chosen.token} of {predicate} is outside "
                                f"the {len(annotation.lemmas)} lemmas")
         lemma = annotation.lemmas[chosen.token]
-        if not lemma or any(ch.isspace() for ch in lemma):
-            raise PairingError(f"lemma {lemma!r} of {predicate} is empty or holds whitespace")
-        if _SYMBOL_RE.match(lemma):
-            raise PairingError(f"lemma {lemma!r} of {predicate} is spelled like a symbol")
-        if _spelled_like_keyword(lemma):
-            raise PairingError(f"lemma {lemma!r} of {predicate} is spelled like a keyword")
+        if fault := _label_fault(lemma):
+            raise PairingError(f"lemma {lemma!r} of {predicate} {fault[0]}")
         return lemma
 
     reverted = _relabelled(d, relabel)

@@ -108,10 +108,6 @@ def rename_clause(clause: Clause, sorts: dict[str, str], mapping: dict[str, str]
     return tuple(out)
 
 
-def count_matches(pred: ClauseSet, gold: ClauseSet, mapping: dict[str, str]) -> int:
-    return _count_against(pred, Counter(gold.clauses), mapping)
-
-
 def _count_against(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str]) -> int:
     renamed = Counter(rename_clause(c, pred.sorts, mapping) for c in pred.clauses)
     return sum(min(n, gold_counts[c]) for c, n in renamed.items() if c in gold_counts)

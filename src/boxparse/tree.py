@@ -24,12 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .drs import (
+    ANTECEDENT_OPERATORS,
     VARIABLE_SORTS,
     Binary,
     Box,
     Drs,
     Operator,
     Unary,
+    _in_text_order,
     is_variable,
     validate,
     variable_sort,
@@ -90,10 +92,6 @@ class DrsTree:
 @dataclass(frozen=True)
 class LinearSeq:
     tokens: tuple[str, ...]
-
-
-def leaf(label: str) -> Node:
-    return Node(label)
 
 
 def count_nodes(t: DrsTree) -> int:
@@ -201,7 +199,7 @@ class _Builder:
                     raise MalformedTree("OP node needs an operator label leaf first")
                 ids: list[str] = []
                 for sub in subs:
-                    first = self.scopes[ids[0]] if ids and op.label in ("IMP", "DUP") else {}
+                    first = self.scopes[ids[0]] if ids and op.label in ANTECEDENT_OPERATORS else {}
                     ids.append((yield sub, first))
                 conditions.append(Operator(op.label, tuple(ids)))
             else:
@@ -234,13 +232,13 @@ def from_tree(t: DrsTree) -> Drs:
     of that token in a box open at its use: the box itself, the boxes
     enclosing it, the first box of an IMP/DUP for its later boxes, and the
     top box for the SDRS constituents. No box may redeclare a token that is
-    open. ``validate`` then judges the result.
+    open. The boxes come in clause-text order; ``validate`` judges the result.
     """
     root = t.root
     builder = _Builder()
     if root.label == "DRS":
         top = builder.read(root, {})
-        return validate(Drs(boxes=tuple(builder.boxes), relations=(), top=top))
+        return validate(_in_text_order(Drs(tuple(builder.boxes), (), top)))
     if root.label != "SDRS":
         raise MalformedTree(f"root must be DRS or SDRS, got {root.label!r}")
     drs_kids = [c for c in root.children if c.label == "DRS"]
@@ -260,7 +258,7 @@ def from_tree(t: DrsTree) -> Drs:
         if ka not in k or kb not in k:
             raise MalformedTree(f"bad constituent index in ({label} {ka} {kb})")
         relations.append((label, k[ka], k[kb]))
-    return validate(Drs(boxes=tuple(builder.boxes), relations=tuple(relations), top=top))
+    return validate(_in_text_order(Drs(tuple(builder.boxes), tuple(relations), top)))
 
 
 def linearize(t: DrsTree) -> LinearSeq:

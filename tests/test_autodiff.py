@@ -8,6 +8,16 @@ from boxparse.errors import ShapeError
 from boxparse.gradcheck import check_gradients
 
 
+# every shape a product takes: a vector is a row on the left of a matrix and
+# a column on its right, and two vectors meet only in ``dot``
+PRODUCTS = {
+    "matmul_1d_2d": (ad.matmul, (3,), (3, 4)),
+    "matmul_2d_1d": (ad.matmul, (4, 3), (3,)),
+    "matmul_2d_2d": (ad.matmul, (2, 3), (3, 4)),
+    "dot": (ad.dot, (3,), (3,)),
+}
+
+
 def mlp_gradcheck(**kwargs):
     """Gradient check of a 5-4-3-2 tanh MLP with a cross-entropy loss, built
     in the current default dtype."""
@@ -159,6 +169,24 @@ class TestBackward:
 
         report = check_gradients(loss_fn, params, name="attention")
         assert report.passed, report.worst
+
+    @pytest.mark.parametrize("op, a_shape, b_shape", PRODUCTS.values(), ids=PRODUCTS)
+    def test_product_gradcheck(self, op, a_shape, b_shape):
+        # non-square shapes, so a transposed gradient fails on its shape, and
+        # init scale 1.0 with tanh, so a wrong value shows by any measure
+        rng = np.random.default_rng(5)
+        params = {"a": ad.uniform(a_shape, rng, scale=1.0),
+                  "b": ad.uniform(b_shape, rng, scale=1.0)}
+
+        def loss_fn():
+            return ad.reduce_sum(ad.tanh(op(params["a"], params["b"])))
+
+        report = check_gradients(loss_fn, params, name="product")
+        assert report.passed, report.worst
+
+    def test_matmul_of_two_vectors_names_dot(self):
+        with pytest.raises(ShapeError, match="dot"):
+            ad.matmul(ad.tensor(np.ones(3)), ad.tensor(np.ones(3)))
 
     def test_gradcheck_catches_wrong_small_gradient(self):
         # every true gradient is 1e-5; the wrong backward halves it

@@ -1,9 +1,11 @@
-"""The error contract: any input, however malformed, either goes through or
-raises a ``BoxparseError`` subclass.
+"""The contracts: any input, however malformed, either goes through or
+raises a ``BoxparseError`` subclass; and every DRS that validates reads back
+equal from its clause text.
 
 Inputs are valid documents from the random-DRS generator with up to three
 edits applied, so most of them are near misses that reach deep into the
-pipeline before anything can reject them.
+pipeline before anything can reject them, and DRSs built in code from
+drawn labels, constants, box ids and relation labels.
 """
 
 import numpy as np
@@ -15,10 +17,16 @@ from helpers import RELATION_POOL, random_drs
 from boxparse.drs import (
     OPERATORS,
     UNARY_OPERATORS,
+    Binary,
+    Box,
+    Drs,
+    Operator,
+    Unary,
     format_clauses,
     merge_presuppositions,
     parse_clauses,
     strip_senses,
+    validate,
 )
 from boxparse.errors import BoxparseError
 from boxparse.evaluate import score
@@ -29,6 +37,19 @@ INDEX = st.integers(min_value=0, max_value=1_000)
 LINE_EDITS = ("swap_token", "drop", "duplicate", "move", "insert_operator",
               "insert_relation")
 TOKEN_EDITS = ("swap", "drop", "duplicate", "move")
+
+# Parts for the round-trip property: spellings that clause text reads back
+# as themselves, and odd ones (blank, spaced, or spelled like a symbol or a
+# keyword) that it does not.
+PARTS = {
+    "label": (["dog", "sit_down.v.01", "Agent", "A"],
+              ["", "sit down", "x2", "b1.n.01", "REF", "NOT.n.01", "EQU"]),
+    "constant": (['"now"', '""'], ['"a b"', '"a\nb"', "dog"]),
+    "box_id": (["b1", "b2", "b3", "b01", "p1", "p2"], ["foo", "b4\n", "q1"]),
+    "relation": (["CONTINUATION", "RESULT"], ["continuation", "REF", "NOT", "A", "CON TINUATION"]),
+}
+LEAVES = [*PARTS["label"][0], *PARTS["label"][1], *PARTS["constant"][1]]
+LINKS = ["NOT", "POS", "NEC", "relation", "relation", "relation", "root"]  # how a box hangs
 
 
 def edits(kinds):
@@ -99,3 +120,81 @@ def test_edited_token_sequence_raises_only_boxparse_errors(seed, token_edits):
         from_tree(delinearize(LinearSeq(tuple(tokens))))
     except BoxparseError:
         pass
+
+
+@st.composite
+def drawn_drs(draw) -> Drs:
+    """A DRS built in code, with at most one kind of part drawn odd. The
+    first box is the top; each other box hangs under an operator of an
+    earlier box, is a relation constituent, or is a root; every box declares
+    one referent; and the boxes come in any order."""
+    odd = draw(st.sampled_from([None, None, "flag", *PARTS]))
+
+    def part(kind: str) -> str:
+        return draw(st.sampled_from(PARTS[kind][kind == odd]))
+
+    ids = list(dict.fromkeys(part("box_id") for _ in range(draw(st.integers(1, 4)))))
+    conditions: list[list] = [[] for _ in ids]
+    constituents = []
+    for i, box_id in enumerate(ids):
+        own = f"x{i + 1}"
+        for _ in range(draw(st.integers(0, 2))):
+            arg = draw(st.sampled_from([own, "x1", part("constant")]))
+            conditions[i].append(Unary(part("label"), own) if arg == own
+                                 else Binary(part("label"), own, arg))
+        link = draw(st.sampled_from(LINKS)) if i else "root"
+        if link == "relation":
+            constituents.append(box_id)
+        elif link != "root":
+            conditions[draw(st.integers(0, i - 1))].append(Operator(link, (box_id,)))
+    relations = [(part("relation"), a, b) for a, b in zip(constituents, constituents[1:])]
+    if len(constituents) == 1:  # a lone constituent relates to itself
+        relations.append((part("relation"), constituents[0], constituents[0]))
+    flipped = draw(st.sampled_from(ids)) if odd == "flag" else None  # its flag disagrees
+    boxes = [Box(box_id, (f"x{i + 1}",), tuple(conditions[i]),
+                 presupposed=box_id.startswith("p") != (box_id == flipped))
+             for i, box_id in enumerate(ids)]
+    return Drs(tuple(draw(st.permutations(boxes))), tuple(relations), ids[0])
+
+
+@given(drawn_drs())
+@settings(max_examples=300, deadline=None)
+def test_valid_drs_built_in_code_reads_back_equal(d):
+    try:
+        validate(d)
+    except BoxparseError:
+        return
+    assert parse_clauses(format_clauses(d)) == d
+
+
+def edit_tree_tokens(tokens: list[str], kind: str, i: int, label: str) -> None:
+    """Drop a subtree other than the root, or relabel a leaf, in place, so
+    that the brackets still balance."""
+    if kind == "relabel":
+        leaves = [j for j, tok in enumerate(tokens) if tok != ")" and not tok.startswith("(")]
+        if leaves:
+            tokens[leaves[i % len(leaves)]] = label
+        return
+    starts = [j for j, tok in enumerate(tokens) if tok.startswith("(")][1:]
+    if not starts:
+        return
+    start = starts[i % len(starts)]
+    end, depth = start + 1, 1
+    while depth:
+        depth += tokens[end].startswith("(") - (tokens[end] == ")")
+        end += 1
+    del tokens[start:end]
+
+
+@given(SEEDS, st.lists(st.tuples(st.sampled_from(["drop", "relabel"]), INDEX,
+                                 st.sampled_from(LEAVES)), max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_valid_drs_from_an_edited_tree_reads_back_equal(seed, tree_edits):
+    tokens = list(linearize(to_tree(random_drs(np.random.default_rng(seed)))).tokens)
+    for edit in tree_edits:
+        edit_tree_tokens(tokens, *edit)
+    try:
+        d = from_tree(delinearize(LinearSeq(tuple(tokens))))
+    except BoxparseError:
+        return
+    assert parse_clauses(format_clauses(d)) == d

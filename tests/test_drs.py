@@ -37,7 +37,7 @@ from boxparse.errors import (
     PairingError,
     UnknownOperator,
 )
-from boxparse.tree import delinearize, from_tree, linearize, to_tree
+from boxparse.tree import DrsTree, LinearSeq, Node, delinearize, from_tree, linearize, to_tree
 
 
 class SimpleAnnotation:
@@ -127,6 +127,8 @@ class TestParseClauses:
         ("b1 FROB x1", "unknown operator 'FROB'"),
         ("b1 dog x1 x1 x1", "predicate clause with 3 arguments"),
         ("b2 CONTINUATION b3 b4", "relation hosted at b2"),
+        ("b1 Agent x1 dog", "argument 'dog' is neither a variable nor a quoted constant"),
+        ('b1 person "speaker"', 'unary predicate person takes a variable, got constant "speaker"'),
     ])
     def test_line_errors_name_the_line(self, bad, message):
         # comment and blank lines count: the bad clause is line 5
@@ -458,6 +460,71 @@ class TestValidate:
         merged = strip_senses(merge_presuppositions(parse_clauses(text)))
         from_tree(delinearize(linearize(to_tree(merged))))
         assert len(calls) == checks
+
+    @pytest.mark.parametrize("condition", [
+        Unary("sit down", "e1"), Unary("", "e1"), Binary("Agent", "e1", '"a b"')])
+    def test_blank_labels_and_spaced_constants_rejected(self, condition):
+        # format_clauses would write a line that splits into other tokens
+        d = Drs(boxes=(Box("b1", ("e1",), (condition,)),), top="b1")
+        with pytest.raises(DataError):
+            validate(d)
+
+    def test_spaced_tree_leaf_rejected(self):
+        t = to_tree(parse_clauses("b1 REF e1\nb1 sit e1\n"))
+        spaced = DrsTree(Node("DRS", (t.root.children[0], Node("C1", (Node("sit down"),
+                                                                       Node("e1"))))))
+        with pytest.raises(DataError, match="empty or holding whitespace"):
+            from_tree(spaced)
+
+    @pytest.mark.parametrize("box_id, referent", [("foo", "x1"), ("b1\n", "x1"),
+                                                  ("b1", "x1\n")])
+    def test_names_spelled_as_the_parser_reads_them(self, box_id, referent):
+        d = Drs(boxes=(Box(box_id, (referent,), (Unary("dog", referent),)),), top=box_id)
+        with pytest.raises(DataError):
+            validate(d)
+
+    @pytest.mark.parametrize("boxes", [
+        # a b-box flagged presupposed re-parses as an unreachable plain box
+        (Box("b1", ("x1",), (Unary("dog", "x1"),)),
+         Box("b2", ("x2",), (Unary("cat", "x2"),), presupposed=True)),
+        # a p-box not flagged presupposed re-parses as presupposed
+        (Box("b1", (), (Operator("NOT", ("p2",)),)),
+         Box("p2", ("x1",), (Unary("dog", "x1"),))),
+    ], ids=["b_presupposed", "p_not_presupposed"])
+    def test_presupposed_exactly_when_the_id_says_so(self, boxes):
+        with pytest.raises(DataError, match="bad box id"):
+            validate(Drs(boxes=boxes, top="b1"))
+
+    def test_top_box_is_not_presupposed(self):
+        with pytest.raises(DataError, match="top box p1 is presupposed"):
+            parse_clauses("p1 REF x1\np1 dog x1\n")
+
+    @pytest.mark.parametrize("label", ["continuation", "REF", "NOT", "A", "CON TINUATION"])
+    def test_relation_labels_are_keywords(self, label):
+        d = parse_clauses(PRESUPPOSED)
+        with pytest.raises(DataError, match="bad relation label"):
+            validate(Drs(d.boxes, ((label, "b2", "b3"),), d.top))
+
+    @pytest.mark.parametrize("boxes", [
+        (Box("b1"),),
+        (Box("b1", ("x1",), (Unary("dog", "x1"),)), Box("p1", presupposed=True)),
+        (Box("b1"), Box("p1", ("x1",), (Unary("dog", "x1"),), presupposed=True)),
+    ], ids=["no_clause", "empty_presupposed", "empty_top"])
+    def test_every_box_hosts_or_is_named_by_a_clause(self, boxes):
+        with pytest.raises(DataError, match="no clause hosts or names"):
+            validate(Drs(boxes=boxes, top="b1"))
+
+    @pytest.mark.parametrize("make", [
+        # the top box comes second, as in the text
+        lambda: parse_clauses("p1 REF x2\np1 cat x2\nb1 REF x1\nb1 dog x1\nb1 Owner x1 x2\n"),
+        # an empty box is numbered before a sibling that hosts lines
+        lambda: from_tree(delinearize(LinearSeq(tuple(
+            "(DRS (REF x1 ) (C1 dog x1 ) (OP NOT (DRS ) ) (OP POS (DRS (REF e1 ) "
+            "(C1 run e1 ) ) ) )".split())))),
+    ], ids=["parsed", "from_tree"])
+    def test_boxes_read_back_in_their_order(self, make):
+        d = make()
+        assert parse_clauses(format_clauses(d)) == d
 
     def test_presupposed_flag_preserved_in_replace(self):
         b = Box("p1", ("x1",), (), presupposed=True)

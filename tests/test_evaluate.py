@@ -17,7 +17,6 @@ from boxparse.evaluate import (
     ClauseSet,
     best_alignment,
     category_breakdown,
-    count_matches,
     micro_average,
     score,
     to_clauses,

@@ -21,7 +21,6 @@ from boxparse.tree import (
     count_nodes,
     delinearize,
     from_tree,
-    leaf,
     linearize,
     to_tree,
 )
@@ -111,12 +110,12 @@ class TestToTree:
 
 class TestNode:
     def test_equality_compares_labels_and_shape(self):
-        t = Node("C1", (leaf("dog"), leaf("x1")))
-        assert t == Node("C1", (leaf("dog"), leaf("x1")))
-        assert hash(t) == hash(Node("C1", (leaf("dog"), leaf("x1"))))
-        assert t != Node("C1", (leaf("dog"), leaf("x2")))
-        assert t != Node("C1", (leaf("dog"), leaf("x1"), leaf("x1")))
-        assert t != Node("C2", (leaf("dog"), leaf("x1")))
+        t = Node("C1", (Node("dog"), Node("x1")))
+        assert t == Node("C1", (Node("dog"), Node("x1")))
+        assert hash(t) == hash(Node("C1", (Node("dog"), Node("x1"))))
+        assert t != Node("C1", (Node("dog"), Node("x2")))
+        assert t != Node("C1", (Node("dog"), Node("x1"), Node("x1")))
+        assert t != Node("C2", (Node("dog"), Node("x1")))
         assert t != "C1"
 
     def test_repr_of_deep_not_chain(self):
@@ -128,9 +127,9 @@ class TestNode:
         assert rendered.count("Node(label='NOT'") == depth - 1
 
     def test_repr_is_the_field_repr(self):
-        assert repr(Node("REF", (leaf("x1"),))) == \
+        assert repr(Node("REF", (Node("x1"),))) == \
             "Node(label='REF', children=(Node(label='x1', children=()),))"
-        t = Node("C2", (leaf("Agent"), leaf("e1"), leaf('"now"')))
+        t = Node("C2", (Node("Agent"), Node("e1"), Node('"now"')))
         assert repr(t) == ("Node(label='C2', children=(Node(label='Agent', children=()), "
                            "Node(label='e1', children=()), "
                            "Node(label='\"now\"', children=())))")
@@ -138,7 +137,7 @@ class TestNode:
 
 class TestLinearize:
     def test_minimal_round_trip(self):
-        t = DrsTree(Node("root", (leaf("leafy"),)))
+        t = DrsTree(Node("root", (Node("leafy"),)))
         seq = linearize(t)
         assert seq.tokens == ("(root", "leafy", ")")
         assert delinearize(seq) == t
@@ -192,8 +191,8 @@ class TestLinearize:
 
 class TestFromTree:
     def test_minimal_one_condition(self):
-        t = DrsTree(Node("DRS", (Node("REF", (leaf("x1"),)),
-                                 Node("C1", (leaf("dog"), leaf("x1"))))))
+        t = DrsTree(Node("DRS", (Node("REF", (Node("x1"),)),
+                                 Node("C1", (Node("dog"), Node("x1"))))))
         d = from_tree(t)
         assert len(d.boxes) == 1
         assert d.box(d.top).conditions == (Unary("dog", "x1"),)
@@ -205,24 +204,24 @@ class TestFromTree:
             assert score(back, d).f1 == 1.0
 
     def test_condition_under_no_box(self):
-        t = DrsTree(Node("C1", (leaf("dog"), leaf("x1"))))
+        t = DrsTree(Node("C1", (Node("dog"), Node("x1"))))
         with pytest.raises(MalformedTree):
             from_tree(t)
 
     def test_leaf_where_box_required(self):
-        t = DrsTree(Node("DRS", (Node("OP", (leaf("NOT"), leaf("x1"))),)))
+        t = DrsTree(Node("DRS", (Node("OP", (Node("NOT"), Node("x1"))),)))
         with pytest.raises(MalformedTree):
             from_tree(t)
 
     def test_symbol_like_label_rejected(self):
         # (DRS (REF x1) (C1 x2 x1))
-        t = DrsTree(Node("DRS", (Node("REF", (leaf("x1"),)),
-                                 Node("C1", (leaf("x2"), leaf("x1"))))))
+        t = DrsTree(Node("DRS", (Node("REF", (Node("x1"),)),
+                                 Node("C1", (Node("x2"), Node("x1"))))))
         with pytest.raises(DataError, match="spelled like symbols"):
             from_tree(t)
 
     def test_unbound_argument(self):
-        t = DrsTree(Node("DRS", (Node("C1", (leaf("dog"), leaf("x9"))),)))
+        t = DrsTree(Node("DRS", (Node("C1", (Node("dog"), Node("x9"))),)))
         with pytest.raises(UnboundVariable):
             from_tree(t)
 
@@ -235,10 +234,10 @@ class TestFromTree:
     def test_unrelated_scopes_stay_distinct(self):
         # same surface token declared in two sibling boxes: two referents
         t = DrsTree(Node("DRS", (
-            Node("OP", (leaf("NOT"), Node("DRS", (Node("REF", (leaf("x1"),)),
-                                                  Node("C1", (leaf("dog"), leaf("x1"))))))),
-            Node("OP", (leaf("POS"), Node("DRS", (Node("REF", (leaf("x1"),)),
-                                                  Node("C1", (leaf("cat"), leaf("x1"))))))),
+            Node("OP", (Node("NOT"), Node("DRS", (Node("REF", (Node("x1"),)),
+                                                  Node("C1", (Node("dog"), Node("x1"))))))),
+            Node("OP", (Node("POS"), Node("DRS", (Node("REF", (Node("x1"),)),
+                                                  Node("C1", (Node("cat"), Node("x1"))))))),
         )))
         d = from_tree(t)
         refs = [v for b in d.boxes for v in b.referents]
@@ -272,8 +271,8 @@ class TestFromTree:
 
     def test_shadowing_rejected(self):
         t = DrsTree(Node("DRS", (
-            Node("REF", (leaf("x1"),)),
-            Node("OP", (leaf("NOT"), Node("DRS", (Node("REF", (leaf("x1"),)),)))),
+            Node("REF", (Node("x1"),)),
+            Node("OP", (Node("NOT"), Node("DRS", (Node("REF", (Node("x1"),)),)))),
         )))
         with pytest.raises(MalformedTree):
             from_tree(t)
