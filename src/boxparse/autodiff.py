@@ -7,12 +7,21 @@ multiplies a matrix by a matrix or by a vector (a row on its left, a column
 on its right), and ``dot`` two vectors. No broadcasting beyond row-bias
 addition and scalar scaling.
 
-A computation graph is the set of Tensors linked through ``_parents``;
-``backward`` walks it once in reverse topological order and accumulates
-gradients, so a parameter used several times receives the summed gradient.
+A computation graph is the set of Tensors linked through ``_parents``.
+Each op numbers the node it makes, and a node's parents exist before it, so
+``backward`` runs the reachable nodes' backwards newest first, which is a
+reverse topological order. Gradients accumulate, so a parameter used several
+times receives the summed gradient. A matrix-vector product gives its
+matrix a rank-1 gradient; for a leaf matrix, ``backward`` keeps the two
+factors and adds all of them at its end in one matrix product. Leaves have
+no backward of their own, so nothing reads their gradient before then, and
+no pending factor outlives the call, even one that raises.
 """
 
 from __future__ import annotations
+
+from itertools import count
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,7 +45,8 @@ class Tensor:
     ``data`` is row-major; ``grad`` (once populated) always matches its shape.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_created",
+                 "_factors")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DTYPE)
@@ -44,6 +54,9 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        # a leaf's pending rank-1 gradient terms (lefts, rights), while
+        # ``backward`` runs
+        self._factors: tuple[list, list] | None = None
 
     @property
     def shape(self):
@@ -80,11 +93,19 @@ def _wants_grad(t: Tensor) -> bool:
     return t.requires_grad or bool(t._parents)
 
 
+# numbers interior nodes as they are made; one counter serves every graph,
+# since the order only has to put each node after its parents
+_creation = count()
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(_wants_grad(p) for p in parents):
-        out._parents = parents
-        out._backward = backward_fn
+    for p in parents:
+        if p.requires_grad or p._parents:
+            out._parents = parents
+            out._backward = backward_fn
+            out._created = next(_creation)
+            break
     return out
 
 
@@ -149,11 +170,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         # each operand's gradient is g contracted with the other operand
         ad, bd = a.data, b.data
         if _wants_grad(a):
-            a._accumulate(g @ bd.T if bd.ndim == 2 else np.multiply.outer(g, bd))
+            if bd.ndim == 2:
+                a._accumulate(g @ bd.T)
+            else:
+                _acc_outer(a, g, bd)
         if _wants_grad(b):
-            b._accumulate(ad.T @ g if ad.ndim == 2 else np.multiply.outer(ad, g))
+            if ad.ndim == 2:
+                b._accumulate(ad.T @ g)
+            else:
+                _acc_outer(b, ad, g)
 
     return _make(out_data, (a, b), bwd)
+
+
+def _acc_outer(t: Tensor, u: np.ndarray, v: np.ndarray) -> None:
+    """Accumulate ``np.multiply.outer(u, v)`` into t, or, for a leaf that a
+    running ``backward`` collects terms for, keep the factors."""
+    if t._factors is None:
+        t._accumulate(np.multiply.outer(u, v))
+    else:
+        t._factors[0].append(u)
+        t._factors[1].append(v)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
@@ -293,30 +330,43 @@ def softmax_cross_entropy(logits: Tensor, target: int, mask=None) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate grads of every reachable tensor with d(loss)/d(tensor).
 
-    Iterative post-order traversal: each node is visited exactly once even
-    on diamond-shaped graphs, and repeated uses accumulate.
+    Every interior node (one with parents) was made after its parents, so
+    the reachable interior nodes, newest first, are in reverse topological
+    order: each runs its backward once, after every node it feeds. A call
+    resets their grads first, so it propagates its own loss only; leaves
+    accumulate across calls, and a leaf used several times gets the sum.
+    A leaf's rank-1 terms from matrix-vector products wait until the walk
+    ends and are then added as one matrix product. They never outlive the
+    call, even one that raises.
     """
     if loss.data.ndim != 0:
         raise ShapeError("backward requires a scalar loss")
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack = [loss] if loss._parents else []
+    interior = set(stack)
+    leaves: list[Tensor] = []  # that collect rank-1 terms
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
+        node = stack.pop()
+        node.grad = None
         for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    loss._accumulate(np.asarray(1.0, dtype=loss.data.dtype))
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+            if p._parents:
+                if p not in interior:
+                    interior.add(p)
+                    stack.append(p)
+            elif p.requires_grad and p._factors is None:
+                p._factors = ([], [])
+                leaves.append(p)
+    try:
+        loss._accumulate(np.asarray(1.0, dtype=loss.data.dtype))
+        for node in sorted(interior, key=attrgetter("_created"), reverse=True):
+            if node.grad is not None:
+                node._backward(node.grad)
+        for t in leaves:
+            us, vs = t._factors
+            if us:
+                t._accumulate(np.array(us).T @ np.array(vs))
+    finally:
+        for t in leaves:
+            t._factors = None
 
 
 def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
@@ -352,17 +402,18 @@ class Adam:
     def step(self) -> None:
         b1, b2 = self.betas
         self.t += 1
-        for i, p in enumerate(self.params):
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             if not p.requires_grad:
                 continue
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * (g * g)
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -501,14 +501,24 @@ def box_clauses(box: Box) -> Iterator[tuple[str, ...]]:
 
 def format_clauses(doc: ClauseDocument | Drs) -> str:
     """Canonical clause-file text, the boxes in stored order. ``parse_clauses``
-    reads a valid DRS back equal, up to box order (see ``validate``)."""
+    reads a valid DRS back equal, up to box order (see ``validate``), and
+    ``parse_clause_document`` its comments and alignment records. A comment
+    or record that would read back as something else raises ``DataError``."""
     if isinstance(doc, Drs):
         doc = ClauseDocument(drs=doc)
     d = doc.drs
     out: list[str] = []
     for c in doc.comments:
-        out.append(f"% {c}")
+        line = f"% {c}"
+        if c != c.strip() or len(line.splitlines()) != 1 or _ALIGN_RE.match(line):
+            raise DataError(f"comment {c!r} would not read back as this comment")
+        out.append(line)
     for rec in doc.alignments:
+        if type(rec.token) is not int or rec.token < 0:
+            raise DataError(f"alignment token {rec.token!r} is not a whole number")
+        if not rec.predicate or _SPACE_RE.search(rec.predicate):
+            raise DataError(
+                f"alignment predicate {rec.predicate!r} is empty or holds whitespace")
         out.append(f"% {rec.token} {rec.predicate}" + (" head" if rec.head else ""))
     for box in d.boxes:
         if box.id == d.top:  # the top hosts the relations, first in its block

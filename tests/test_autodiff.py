@@ -170,6 +170,44 @@ class TestBackward:
         report = check_gradients(loss_fn, params, name="attention")
         assert report.passed, report.worst
 
+    def test_long_chain_matches_analytic_gradient(self):
+        # 10,000 rounds of tanh(h + b) make a chain of 20,000 nodes
+        x = ad.tensor(np.array([0.5, -0.2, 0.1]), requires_grad=True)
+        b = ad.tensor(np.array([1e-4, 0.0, -1e-4]), requires_grad=True)
+        h = x
+        for _ in range(10_000):
+            h = ad.tanh(ad.add(h, b))
+        ad.backward(ad.reduce_sum(h))
+        states = [x.data]
+        for _ in range(10_000):
+            states.append(np.tanh(states[-1] + b.data))
+        g, g_b = np.ones(3), np.zeros(3)
+        for s in reversed(states[1:]):
+            g = g * (1.0 - s * s)
+            g_b = g_b + g
+        assert np.all(g != 0.0)
+        np.testing.assert_allclose(x.grad, g, rtol=1e-12)
+        np.testing.assert_allclose(b.grad, g_b, rtol=1e-12)
+
+    def test_two_losses_on_a_shared_subgraph_sum(self):
+        rng = np.random.default_rng(23)
+        w = ad.uniform((4, 3), rng, scale=1.0)
+        x, r = ad.tensor(rng.normal(size=3)), ad.tensor(rng.normal(size=4))
+
+        def losses():
+            h = ad.tanh(ad.matmul(w, x))
+            return ad.reduce_sum(ad.tanh(h)), ad.dot(h, r)
+
+        grads = []
+        for pick in (0, 1):
+            w.zero_grad()
+            ad.backward(losses()[pick])
+            grads.append(w.grad.copy())
+        w.zero_grad()
+        for loss in losses():
+            ad.backward(loss)
+        np.testing.assert_allclose(w.grad, grads[0] + grads[1], rtol=1e-12)
+
     @pytest.mark.parametrize("op, a_shape, b_shape", PRODUCTS.values(), ids=PRODUCTS)
     def test_product_gradcheck(self, op, a_shape, b_shape):
         # non-square shapes, so a transposed gradient fails on its shape, and
@@ -203,6 +241,66 @@ class TestBackward:
         report = check_gradients(lambda: loss_fn(True), {"w": w})
         assert not report.passed
         assert report.max_rel_error == pytest.approx(0.5, rel=1e-3)
+
+
+class TestDeferredProducts:
+    """A leaf's rank-1 terms from matrix-vector products are summed in one
+    product at the end of ``backward``; these pin that sum against numpy."""
+
+    def test_leaf_in_every_product_shape_matches_numpy(self):
+        rng = np.random.default_rng(21)
+        w = ad.uniform((4, 3), rng, scale=1.0)
+        xs = [rng.normal(size=3) for _ in range(3)]
+        y, b, c = rng.normal(size=4), rng.normal(size=(3, 2)), rng.normal(size=(4, 3))
+
+        def loss_fn():
+            uses = [ad.matmul(w, ad.tensor(x)) for x in xs]
+            uses += [ad.matmul(ad.tensor(y), w), ad.matmul(w, ad.tensor(b)),
+                     ad.add(w, ad.tensor(c))]
+            return ad.sum_over([ad.reduce_sum(ad.tanh(u)) for u in uses])
+
+        ad.backward(loss_fn())
+        wd = w.data
+        want = sum(np.multiply.outer(1 - np.tanh(wd @ x) ** 2, x) for x in xs)
+        want = want + np.multiply.outer(y, 1 - np.tanh(y @ wd) ** 2)
+        want = want + (1 - np.tanh(wd @ b) ** 2) @ b.T
+        want = want + (1 - np.tanh(wd + c) ** 2)
+        np.testing.assert_allclose(w.grad, want, rtol=1e-12, atol=1e-12)
+        report = check_gradients(loss_fn, {"w": w}, name="deferred")
+        assert report.passed, report.worst
+
+    def test_interior_matrix_in_matrix_vector_products(self):
+        # tanh(w) has a backward of its own, so its outer products cannot wait
+        rng = np.random.default_rng(22)
+        params = {"w": ad.uniform((4, 3), rng, scale=1.0),
+                  "x": ad.uniform((3,), rng, scale=1.0),
+                  "y": ad.uniform((4,), rng, scale=1.0)}
+
+        def loss_fn():
+            h = ad.tanh(params["w"])
+            uses = [ad.matmul(h, params["x"]), ad.matmul(h, ad.tanh(params["x"])),
+                    ad.matmul(params["y"], h)]
+            return ad.sum_over([ad.reduce_sum(ad.tanh(u)) for u in uses])
+
+        report = check_gradients(loss_fn, params, name="interior")
+        assert report.passed, report.worst
+
+    def test_raising_backward_leaves_no_pending_terms(self):
+        rng = np.random.default_rng(24)
+        w = ad.uniform((4, 3), rng, scale=1.0)
+        x = ad.uniform((3,), rng, scale=1.0)
+
+        def failing(a):
+            def bwd(g):
+                raise ArithmeticError("backward of a test op")
+            return ad._make(a.data.copy(), (a,), bwd)
+
+        # the product runs its backward, deferring w's terms, before the op
+        with pytest.raises(ArithmeticError):
+            ad.backward(ad.reduce_sum(ad.matmul(w, failing(x))))
+        w.zero_grad()
+        ad.backward(ad.reduce_sum(ad.matmul(w, ad.tensor(x.data))))
+        assert np.array_equal(w.grad, np.multiply.outer(np.ones(4), x.data))
 
 
 def _slice_scalar(vec, i):
@@ -266,6 +364,22 @@ class TestAdam:
         ad.backward(loss)
         opt.step()
         assert 0.0 < float(w.data) < 1.0
+
+    def test_step_matches_the_textbook_update_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        w = ad.tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        opt = ad.Adam([w], lr=0.01, betas=(0.8, 0.95), eps=1e-6)
+        data, m, v = w.data.copy(), np.zeros((5, 3)), np.zeros((5, 3))
+        for t in range(1, 6):
+            g = rng.normal(size=(5, 3))
+            w.grad = g.copy()
+            opt.step()
+            m = 0.8 * m + (1 - 0.8) * g
+            v = 0.95 * v + (1 - 0.95) * (g * g)
+            m_hat = m / (1 - 0.8 ** t)
+            v_hat = v / (1 - 0.95 ** t)
+            data = data - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-6)
+            assert np.array_equal(w.data, data)
 
     def test_clip_grad_norm(self):
         w = ad.tensor(np.zeros(3), requires_grad=True)

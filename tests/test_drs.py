@@ -13,6 +13,7 @@ from boxparse.drs import (
     AlignmentRecord,
     Binary,
     Box,
+    ClauseDocument,
     Drs,
     Operator,
     Unary,
@@ -170,6 +171,28 @@ class TestParseClauses:
         assert format_clauses(again) == text
         out = format_clauses(from_tree(to_tree(parse_clauses(FORMAT_PROBE))))
         assert format_clauses(parse_clauses(out)) == out
+
+    def test_comments_and_records_read_back_equal(self, fig1_drs):
+        doc = ClauseDocument(fig1_drs, alignments=(AlignmentRecord(0, "head", head=True),
+                                                   AlignmentRecord(3, "dog.n.01")),
+                             comments=("", "a  b", "% x", "1", "1 dog cat"))
+        assert parse_clause_document(format_clauses(doc)) == doc
+
+    @pytest.mark.parametrize("comments, alignments, field", [
+        (("a\nb1 REF x9",), (), "comment"),
+        ((" a dog",), (), "comment"),
+        (("1 dog",), (), "comment"),
+        (("1 dog head",), (), "comment"),
+        ((), (AlignmentRecord(1, ""),), "alignment predicate"),
+        ((), (AlignmentRecord(1, "sit down", head=True),), "alignment predicate"),
+        ((), (AlignmentRecord(-1, "dog"),), "alignment token"),
+    ], ids=["line_break", "surrounding_space", "record_like", "head_record_like",
+            "empty_predicate", "spaced_predicate", "negative_token"])
+    def test_format_rejects_what_reads_back_otherwise(self, fig1_drs, comments,
+                                                      alignments, field):
+        doc = ClauseDocument(fig1_drs, alignments=alignments, comments=comments)
+        with pytest.raises(DataError, match=f"^{field} "):
+            format_clauses(doc)
 
     def test_canonicalized_presupposition_round_trips(self):
         d = parse_clauses("b1 REF x1\nb1 Owner x1 x2\np1 REF x2\np1 cat x2\n")
