@@ -101,42 +101,75 @@ def _label_fault(label: str) -> tuple[str, str] | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
+# The classes below are frozen, and their __init__ sets each slot through
+# its member descriptor: the frozen dataclass's own __init__ pays for
+# object.__setattr__ on every field, and a document builds thousands.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Unary:
     predicate: str
     argument: str
+
+    def __init__(self, predicate: str, argument: str):
+        _set_predicate(self, predicate)
+        _set_argument(self, argument)
 
     @property
     def args(self) -> tuple[str, ...]:
         return (self.argument,)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Binary:
     role: str
     first: str
     second: str
+
+    def __init__(self, role: str, first: str, second: str):
+        _set_role(self, role)
+        _set_first(self, first)
+        _set_second(self, second)
 
     @property
     def args(self) -> tuple[str, ...]:
         return (self.first, self.second)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Operator:
     op: str
     boxes: tuple[str, ...]
+
+    def __init__(self, op: str, boxes: tuple[str, ...]):
+        _set_op(self, op)
+        _set_boxes(self, boxes)
 
 
 Condition = Union[Unary, Binary, Operator]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Box:
     id: str
     referents: tuple[str, ...] = ()
     conditions: tuple[Condition, ...] = ()
     presupposed: bool = False
+
+    def __init__(self, id: str, referents: tuple[str, ...] = (),
+                 conditions: tuple[Condition, ...] = (), presupposed: bool = False):
+        _set_id(self, id)
+        _set_referents(self, referents)
+        _set_conditions(self, conditions)
+        _set_presupposed(self, presupposed)
+
+
+_set_predicate, _set_argument = Unary.predicate.__set__, Unary.argument.__set__
+_set_role, _set_first = Binary.role.__set__, Binary.first.__set__
+_set_second = Binary.second.__set__
+_set_op, _set_boxes = Operator.op.__set__, Operator.boxes.__set__
+_set_id, _set_referents = Box.id.__set__, Box.referents.__set__
+_set_conditions, _set_presupposed = Box.conditions.__set__, Box.presupposed.__set__
 
 
 @dataclass(frozen=True)
@@ -212,6 +245,14 @@ def _argument_fault(c: Unary | Binary, arg: str) -> str | None:
     return f"argument {arg!r} is neither a variable nor a quoted constant"
 
 
+def _argument_error(c: Unary | Binary, arg: str, box_id: str) -> DataError:
+    """The error for an argument of ``c`` in box ``box_id`` that is neither
+    a variable open there nor a constant that ``c`` may take."""
+    if fault := _argument_fault(c, arg):
+        return DataError(fault)
+    return UnboundVariable(f"variable {arg} used in box {box_id} but not accessible")
+
+
 def _in_text_order(d: Drs) -> Drs:
     """``d`` with its boxes in the order ``parse_clauses`` reads them back
     from ``format_clauses(d)``: those that host a line in their own order,
@@ -244,7 +285,9 @@ def validate(d: Drs) -> Drs:
     So predicate and role labels are single tokens spelled like no symbol or
     keyword, with or without a sense suffix; relation labels are keywords
     other than REF and the operators; the top box is not presupposed; and
-    every box hosts a clause or is named by one.
+    every box hosts a clause or is named by one. A relation is a
+    (label, box, box) triple and a condition a Unary, Binary or Operator;
+    any other shape raises ``DataError``.
 
     A Drs that passed is remembered, so checking it again costs nothing. A
     failure is not remembered: the same value raises again.
@@ -254,18 +297,21 @@ def validate(d: Drs) -> Drs:
 
 
 def _check(d: Drs) -> None:
-    if len({b.id for b in d.boxes}) != len(d.boxes):
-        raise DataError("duplicate box ids")
     known = d._by_id
+    if len(known) != len(d.boxes):
+        raise DataError("duplicate box ids")
     if d.top not in known:
         raise DataError(f"top box {d.top!r} does not exist")
     if known[d.top].presupposed:
         raise DataError(f"top box {d.top} is presupposed")
     declared: dict[str, str] = {}
     labels: set[str] = set()  # of unary predicates and binary roles
+    presupposed: set[str] = set()
     for b in d.boxes:
         if not is_box_id(b.id) or b.presupposed != (b.id[0] == "p"):  # 'p' marks presupposed
             raise DataError(f"bad box id {b.id!r} for presupposed={b.presupposed}")
+        if b.presupposed:
+            presupposed.add(b.id)
         for v in b.referents:
             if not is_variable(v):
                 raise DataError(f"bad referent name {v!r} in box {b.id}")
@@ -273,7 +319,11 @@ def _check(d: Drs) -> None:
                 raise DuplicateReferent(f"referent {v} declared in {declared[v]} and {b.id}")
             declared[v] = b.id
         for c in b.conditions:
-            if isinstance(c, Operator):
+            if isinstance(c, Unary):
+                labels.add(c.predicate)
+            elif isinstance(c, Binary):
+                labels.add(c.role)
+            elif isinstance(c, Operator):
                 if c.op not in OPERATORS:
                     raise UnknownOperator(f"unknown operator {c.op!r}")
                 want = 1 if c.op in UNARY_OPERATORS else 2
@@ -283,14 +333,22 @@ def _check(d: Drs) -> None:
                     if ref not in known:
                         raise DataError(f"operator references unknown box {ref!r}")
             else:
-                labels.add(c.predicate if isinstance(c, Unary) else c.role)
+                raise DataError(f"condition {c!r} in box {b.id} is not a Unary, Binary "
+                                "or Operator")
     for label in sorted(labels):
         if fault := _label_fault(label):
             bad = sorted(x for x in labels if _label_fault(x) == fault)
             raise DataError(f"labels {fault[1]}: {bad}")
-    for label, a, bb in d.relations:
-        if not _is_keyword(label) or _SPACE_RE.search(label) or label in ("REF", *OPERATORS):
-            raise DataError(f"bad relation label {label!r}")
+    relation_labels: set[str] = set()  # those that passed
+    for rel in d.relations:
+        try:
+            label, a, bb = rel
+        except (TypeError, ValueError):
+            raise DataError(f"relation {rel!r} is not a (label, box, box) triple") from None
+        if label not in relation_labels:
+            if not _is_keyword(label) or _SPACE_RE.search(label) or label in ("REF", *OPERATORS):
+                raise DataError(f"bad relation label {label!r}")
+            relation_labels.add(label)
         for ref in (a, bb):
             if ref not in known:
                 raise DataError(f"relation {label} references unknown box {ref!r}")
@@ -307,11 +365,13 @@ def _check(d: Drs) -> None:
     children: dict[str, list[str]] = {}
     for child, par in parents.items():
         children.setdefault(par, []).append(child)
-    presupposed = {b.id for b in d.boxes if b.presupposed}
 
     # Depth-first from the roots. A stack entry opens a box (and the
     # antecedent it may see); an entry with an empty id closes what its
-    # partner opened once the box's subtree is done.
+    # partner opened once the box's subtree is done. An argument that no
+    # REF declares must be a quoted constant of a binary role; ``constants``
+    # holds the arguments already found to be one.
+    constants: set[str] = set()
     open_boxes: set[str] = set()
     visited: set[str] = set()
     stack: list[tuple[str, tuple[str, ...]]] = [(b.id, ()) for b in reversed(roots)]
@@ -327,16 +387,20 @@ def _check(d: Drs) -> None:
         b = known[box_id]
         antecedent: dict[str, str] = {}
         for c in b.conditions:
-            if isinstance(c, Operator):
-                if c.op in ANTECEDENT_OPERATORS:
-                    antecedent[c.boxes[1]] = c.boxes[0]
-                continue
-            for arg in c.args:
-                home = declared.get(arg)  # a declared name is a variable
-                if home is None and (fault := _argument_fault(c, arg)):
-                    raise DataError(fault)
-                if home not in open_boxes and home not in presupposed and not is_constant(arg):
-                    raise UnboundVariable(f"variable {arg} used in box {b.id} but not accessible")
+            if isinstance(c, Unary):
+                home = declared.get(c.argument)
+                if home not in open_boxes and home not in presupposed:
+                    raise _argument_error(c, c.argument, box_id)
+            elif isinstance(c, Binary):
+                for arg in (c.first, c.second):
+                    home = declared.get(arg)
+                    if home in open_boxes or home in presupposed or arg in constants:
+                        continue
+                    if home is not None or not is_constant(arg):
+                        raise _argument_error(c, arg, box_id)
+                    constants.add(arg)
+            elif c.op in ANTECEDENT_OPERATORS:
+                antecedent[c.boxes[1]] = c.boxes[0]
         for child in reversed(children.get(box_id, ())):
             stack.append((child, (antecedent[child],) if child in antecedent else ()))
     if len(visited) != len(d.boxes):
@@ -413,40 +477,43 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
                 raise DataError(f"line {n}: bad box id {box_id!r}")
             mentioned[box_id] = None
 
+    host = None  # of the line before, whose lists are at hand
     for n, toks in zip(numbers, clause_lines):
         if len(toks) < 3:
             raise DataError(f"line {n}: clause too short: {' '.join(toks)!r}")
-        host = toks[0]
-        touch(host)
-        referents, conditions = hosted.setdefault(host, ([], []))
+        if toks[0] != host:
+            host = toks[0]
+            touch(host)
+            referents, conditions = hosted.setdefault(host, ([], []))
         kw = toks[1]
-        args = toks[2:]
         if kw == "REF":
-            if len(args) != 1:
+            if len(toks) != 3:
                 raise DataError(f"line {n}: REF takes one variable")
-            if not is_variable(args[0]):
-                raise DataError(f"line {n}: bad referent name {args[0]!r}")
-            referents.append(args[0])
-            declared.add(args[0])
+            v = toks[2]
+            if not is_variable(v):
+                raise DataError(f"line {n}: bad referent name {v!r}")
+            referents.append(v)
+            declared.add(v)
         elif kw in OPERATORS:
+            args = toks[2:]
             for a in args:
                 touch(a)
             embedded.update(args)
             conditions.append(Operator(kw, tuple(args)))
         elif _is_keyword(kw):
-            if len(args) == 2 and is_box_id(args[0]) and is_box_id(args[1]):
-                for a in args:
+            if len(toks) == 4 and is_box_id(toks[2]) and is_box_id(toks[3]):
+                for a in toks[2:]:
                     touch(a)
-                embedded.update(args)
-                relations.append((kw, args[0], args[1]))
+                embedded.update(toks[2:])
+                relations.append((kw, toks[2], toks[3]))
                 relation_hosts.append((n, host))
             else:
                 raise UnknownOperator(f"line {n}: unknown operator {kw!r}")
-        elif len(args) > 2:
-            raise DataError(f"line {n}: predicate clause with {len(args)} arguments")
+        elif len(toks) > 4:
+            raise DataError(f"line {n}: predicate clause with {len(toks) - 2} arguments")
         else:
-            c = Unary(kw, args[0]) if len(args) == 1 else Binary(kw, *args)
-            for a in args:
+            c = Unary(kw, toks[2]) if len(toks) == 3 else Binary(kw, toks[2], toks[3])
+            for a in toks[2:]:
                 if a not in declared and (fault := _argument_fault(c, a)):
                     raise DataError(f"line {n}: {fault}")
             conditions.append(c)
@@ -539,8 +606,10 @@ def merge_presuppositions(d: Drs) -> Drs:
     structurally referenced or consumed by unrelated boxes raises
     AmbiguousMerge. Presupposed boxes merge in document order, and a
     target's referents and conditions are extended in that order.
-    Idempotent: a DRS with no presupposed boxes is returned as-is.
+    Idempotent: a DRS with no presupposed boxes is returned as-is. An
+    invalid ``d`` raises what ``validate`` raises.
     """
+    validate(d)
     if not any(b.presupposed for b in d.boxes):
         return d
     parents = parent_map(d)
@@ -549,6 +618,11 @@ def merge_presuppositions(d: Drs) -> Drs:
     # gives None, which no box id equals
     uses = {b.id: {home.get(arg) for c in b.conditions if not isinstance(c, Operator)
                    for arg in c.args} for b in d.boxes}
+    users: dict[str | None, set[str]] = {}  # the inverse of uses, kept in step
+    for x, used in uses.items():
+        for y in used:
+            users.setdefault(y, set()).add(x)
+    position = {b.id: i for i, b in enumerate(d.boxes)}
     added: dict[str, tuple[list[str], list[Condition]]] = {}
     for box in d.boxes:
         if not box.presupposed or box.id == d.top:
@@ -556,7 +630,7 @@ def merge_presuppositions(d: Drs) -> Drs:
         if box.id in parents:
             raise AmbiguousMerge(
                 f"presupposed box {box.id} is referenced by an operator or relation")
-        consumers = [x for x, used in uses.items() if box.id in used and x != box.id]
+        consumers = sorted(users.get(box.id, set()) - {box.id}, key=position.__getitem__)
         if not consumers:
             target = d.top
         elif len(consumers) == 1:
@@ -580,9 +654,14 @@ def merge_presuppositions(d: Drs) -> Drs:
             if isinstance(c, Operator):
                 for child in c.boxes:
                     parents[child] = target
-        uses[target] |= uses.pop(box.id)
+        moved = uses.pop(box.id)
+        uses[target] |= moved
+        for y in moved:
+            users[y].discard(box.id)
+            users[y].add(target)
         for x in consumers:
             uses[x].add(target)  # the box's referents now live in target
+        users.setdefault(target, set()).update(consumers)
     boxes = tuple(b if b.id not in added else Box(b.id, b.referents + tuple(added[b.id][0]),
                                                   b.conditions + tuple(added[b.id][1]))
                   for b in d.boxes if b.id in uses)  # the others merged away

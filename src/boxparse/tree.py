@@ -13,7 +13,9 @@ Node inventory: internal labels are structural markers only —
 Leaves are predicates, roles, variables, constants, operator/relation
 labels and constituent indices. Re-entrant variables appear once per use;
 conversion back re-merges identical variable tokens within one
-accessibility scope and renames everything canonically.
+accessibility scope and renames everything canonically. Nodes are
+immutable, so equal leaves within one tree may be a single shared object:
+``to_tree`` and ``delinearize`` build one leaf per label.
 
 Linearization is PTB-style: ``(LABEL`` opens an internal node, ``)``
 closes it, leaves stand alone, tokens are space-separated.
@@ -39,10 +41,16 @@ from .drs import (
 from .errors import DataError, EmptyInput, MalformedSequence, MalformedTree, UnboundVariable
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
 class Node:
     label: str
     children: tuple["Node", ...] = ()
+
+    def __init__(self, label: str, children: tuple["Node", ...] = ()):
+        # through the slot descriptors: the frozen dataclass's own __init__
+        # pays for object.__setattr__ on every field
+        _set_label(self, label)
+        _set_children(self, children)
 
     @property
     def is_leaf(self) -> bool:
@@ -84,6 +92,18 @@ class Node:
         return "".join(parts)
 
 
+_set_label = Node.label.__set__
+_set_children = Node.children.__set__
+
+
+class _Leaves(dict):
+    """Label -> the one leaf node with that label, built on first use."""
+
+    def __missing__(self, label: str) -> Node:
+        node = self[label] = Node(label)
+        return node
+
+
 @dataclass(frozen=True)
 class DrsTree:
     root: Node
@@ -113,27 +133,28 @@ def to_tree(d: Drs) -> DrsTree:
     constituents = list(dict.fromkeys(x for _label, a, b in d.relations for x in (a, b)))
     # Boxes breadth-first from the top and the constituents. validate has
     # made the nesting a tree, so in reverse each box follows those it embeds.
-    order = [d.top, *constituents]
-    for box_id in order:
-        order.extend(x for c in d.box(box_id).conditions if isinstance(c, Operator)
+    known = d._by_id
+    order = [known[x] for x in (d.top, *constituents)]
+    for b in order:
+        order.extend(known[x] for c in b.conditions if isinstance(c, Operator)
                      for x in c.boxes)
     nodes: dict[str, Node] = {}
-    for box_id in reversed(order):
-        b = d.box(box_id)
-        children = [Node("REF", (Node(v),)) for v in b.referents]
+    leaf = _Leaves()
+    for b in reversed(order):
+        children = [Node("REF", (leaf[v],)) for v in b.referents]
         for c in b.conditions:
             if isinstance(c, Unary):
-                children.append(Node("C1", (Node(c.predicate), Node(c.argument))))
+                children.append(Node("C1", (leaf[c.predicate], leaf[c.argument])))
             elif isinstance(c, Binary):
-                children.append(Node("C2", (Node(c.role), Node(c.first), Node(c.second))))
+                children.append(Node("C2", (leaf[c.role], leaf[c.first], leaf[c.second])))
             else:
-                children.append(Node("OP", (Node(c.op), *(nodes[x] for x in c.boxes))))
-        nodes[box_id] = Node("DRS", tuple(children))
+                children.append(Node("OP", (leaf[c.op], *(nodes[x] for x in c.boxes))))
+        nodes[b.id] = Node("DRS", tuple(children))
     if not d.relations:
         return DrsTree(nodes[d.top])
-    k = {x: Node(f"K{i}") for i, x in enumerate(constituents, start=1)}
-    kids = [nodes[x] for x in order[:len(constituents) + 1]]
-    kids += [Node("REL", (Node(label), k[a], k[b])) for label, a, b in d.relations]
+    k = {x: leaf[f"K{i}"] for i, x in enumerate(constituents, start=1)}
+    kids = [nodes[b.id] for b in order[:len(constituents) + 1]]
+    kids += [Node("REL", (leaf[label], k[a], k[b])) for label, a, b in d.relations]
     return DrsTree(Node("SDRS", tuple(kids)))
 
 
@@ -142,7 +163,7 @@ class _Builder:
     It checks only what the tree alone can tell; ``validate`` does the rest."""
 
     def __init__(self):
-        self.boxes: list[Box] = []
+        self.boxes: list[Box | None] = []  # None holds a box's place while it is read
         self.counters = {sort: 0 for sort in VARIABLE_SORTS}
         self.scopes: dict[str, dict[str, str]] = {}  # box id -> token -> name
         self.visible: dict[str, str] = {}  # the same, for the boxes open now
@@ -169,13 +190,13 @@ class _Builder:
             raise MalformedTree(f"expected DRS node, got {node.label!r}")
         slot = len(self.boxes)
         box_id = f"b{slot + 1}"
-        self.boxes.append(Box(id=box_id))  # reserve preorder numbering
+        self.boxes.append(None)  # reserve preorder numbering
         scope = self.scopes[box_id] = {}
         self.visible.update(shared)
         referents: list[str] = []
         conditions = []
         for child in node.children:
-            if child.is_leaf:
+            if not child.children:
                 raise MalformedTree(f"leaf {child.label!r} directly under DRS")
             if child.label == "REF":
                 if conditions:
@@ -195,7 +216,7 @@ class _Builder:
                 conditions.append(Binary(role, self._resolve(a1), self._resolve(a2)))
             elif child.label == "OP":
                 op, *subs = child.children
-                if not op.is_leaf:
+                if op.children:
                     raise MalformedTree("OP node needs an operator label leaf first")
                 ids: list[str] = []
                 for sub in subs:
@@ -212,13 +233,15 @@ class _Builder:
 
     @staticmethod
     def _leaf_token(node: Node, want: int) -> list[str]:
-        if len(node.children) != want or any(not c.is_leaf for c in node.children):
+        labels = [c.label for c in node.children if not c.children]
+        if len(labels) != want or len(node.children) != want:
             raise MalformedTree(f"{node.label} node needs {want} leaf children")
-        return [c.label for c in node.children]
+        return labels
 
     def _resolve(self, token: str) -> str:
-        if token in self.visible:
-            return self.visible[token]
+        name = self.visible.get(token)
+        if name is not None:
+            return name
         if is_variable(token):
             raise UnboundVariable(f"variable {token} used outside any declaring scope")
         return token
@@ -266,7 +289,7 @@ def linearize(t: DrsTree) -> LinearSeq:
     stack = [iter((t.root,))]
     while stack:
         for node in stack[-1]:
-            if node.is_leaf:
+            if not node.children:
                 tokens.append(node.label)
             else:
                 tokens.append(f"({node.label}")
@@ -282,29 +305,29 @@ def linearize(t: DrsTree) -> LinearSeq:
 def delinearize(s: LinearSeq) -> DrsTree:
     if not s.tokens:
         raise EmptyInput("empty sequence")
-    stack: list[tuple[str, list[Node]]] = []
-    root: Node | None = None
-    for tok in s.tokens:
-        if root is not None:
-            raise MalformedSequence("tokens after the root closed")
-        if tok.startswith("("):
-            label = tok[1:]
-            if not label:
-                raise MalformedSequence("bare '(' without a label")
-            stack.append((label, []))
-        elif tok == ")":
-            if not stack:
+    leaf = _Leaves()
+    stack: list[tuple[str, list[Node]]] = []  # the open nodes around the innermost
+    label, kids = "", None  # the innermost open node, once one is open
+    tokens = iter(s.tokens)
+    for tok in tokens:
+        if tok == ")":
+            if kids is None:
                 raise MalformedSequence("unbalanced ')'")
-            label, kids = stack.pop()
             node = Node(label, tuple(kids))
-            if stack:
-                stack[-1][1].append(node)
-            else:
-                root = node
-        else:
             if not stack:
-                raise MalformedSequence(f"leaf {tok!r} outside any node")
-            stack[-1][1].append(Node(tok))
-    if root is None:
-        raise MalformedSequence("sequence ended with open brackets")
-    return DrsTree(root)
+                for _ in tokens:  # any token at all
+                    raise MalformedSequence("tokens after the root closed")
+                return DrsTree(node)
+            label, kids = stack.pop()
+            kids.append(node)
+        elif tok.startswith("("):
+            if len(tok) == 1:
+                raise MalformedSequence("bare '(' without a label")
+            if kids is not None:
+                stack.append((label, kids))
+            label, kids = tok[1:], []
+        elif kids is None:
+            raise MalformedSequence(f"leaf {tok!r} outside any node")
+        else:
+            kids.append(leaf[tok])
+    raise MalformedSequence("sequence ended with open brackets")

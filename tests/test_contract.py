@@ -49,6 +49,12 @@ PARTS = {
     "relation": (["CONTINUATION", "RESULT"], ["continuation", "REF", "NOT", "A", "CON TINUATION"]),
 }
 LEAVES = [*PARTS["label"][0], *PARTS["label"][1], *PARTS["constant"][1]]
+# Odd shapes of a whole part: a relation that is not a (label, box, box)
+# triple, and a condition that is no condition class.
+SHAPES = {
+    "relation_shape": [("CONTINUATION", "b2"), ("CONTINUATION", "b2", "b3", "b1")],
+    "condition_shape": ["dog", ("dog", "x1"), None],
+}
 LINKS = ["NOT", "POS", "NEC", "relation", "relation", "relation", "root"]  # how a box hangs
 
 
@@ -124,11 +130,12 @@ def test_edited_token_sequence_raises_only_boxparse_errors(seed, token_edits):
 
 @st.composite
 def drawn_drs(draw) -> Drs:
-    """A DRS built in code, with at most one kind of part drawn odd. The
-    first box is the top; each other box hangs under an operator of an
-    earlier box, is a relation constituent, or is a root; every box declares
-    one referent; and the boxes come in any order."""
-    odd = draw(st.sampled_from([None, None, "flag", *PARTS]))
+    """A DRS built in code, with at most one kind of part drawn odd: a
+    spelling, the presupposed flag of one box, or the shape of one relation
+    or condition. The first box is the top; each other box hangs under an
+    operator of an earlier box, is a relation constituent, or is a root;
+    every box declares one referent; and the boxes come in any order."""
+    odd = draw(st.sampled_from([None, None, "flag", *PARTS, *SHAPES]))
 
     def part(kind: str) -> str:
         return draw(st.sampled_from(PARTS[kind][kind == odd]))
@@ -150,6 +157,12 @@ def drawn_drs(draw) -> Drs:
     relations = [(part("relation"), a, b) for a, b in zip(constituents, constituents[1:])]
     if len(constituents) == 1:  # a lone constituent relates to itself
         relations.append((part("relation"), constituents[0], constituents[0]))
+    if odd == "relation_shape":
+        relations.insert(draw(st.integers(0, len(relations))),
+                         draw(st.sampled_from(SHAPES[odd])))
+    elif odd == "condition_shape":
+        conditions[draw(st.integers(0, len(ids) - 1))].append(
+            draw(st.sampled_from(SHAPES[odd])))
     flipped = draw(st.sampled_from(ids)) if odd == "flag" else None  # its flag disagrees
     boxes = [Box(box_id, (f"x{i + 1}",), tuple(conditions[i]),
                  presupposed=box_id.startswith("p") != (box_id == flipped))

@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -306,6 +306,12 @@ class TestMergePresuppositions:
         with pytest.raises(AmbiguousMerge):
             merge_presuppositions(validate(d))
 
+    def test_invalid_argument_raises_data_error(self):
+        d = parse_clauses(PRESUPPOSED)
+        bad = Drs(d.boxes, (("CONTINUATION", "b2"),), d.top)
+        with pytest.raises(DataError, match="not a .label, box, box. triple"):
+            merge_presuppositions(bad)
+
 
 class TestStripSenses:
     def test_sense_suffix_removed(self):
@@ -549,6 +555,55 @@ class TestValidate:
         d = make()
         assert parse_clauses(format_clauses(d)) == d
 
+    @pytest.mark.parametrize("relation", [("CONTINUATION", "b2"), ("CONTINUATION",),
+                                          ("CONTINUATION", "b2", "b3", "b2"), None])
+    def test_relation_that_is_not_a_triple(self, fig1_drs, relation):
+        d = Drs(fig1_drs.boxes, (relation,), fig1_drs.top)
+        with pytest.raises(DataError, match="not a .label, box, box. triple"):
+            validate(d)
+
+    @pytest.mark.parametrize("condition", ["dog", ("dog", "x1"), None])
+    def test_condition_of_no_condition_class(self, condition):
+        d = Drs(boxes=(Box("b1", ("x1",), (Unary("dog", "x1"), condition)),), top="b1")
+        with pytest.raises(DataError, match="is not a Unary, Binary or Operator"):
+            validate(d)
+
     def test_presupposed_flag_preserved_in_replace(self):
         b = Box("p1", ("x1",), (), presupposed=True)
         assert replace(b, referents=("x2",)).presupposed
+
+
+VALUES = [Unary("dog", "x1"), Binary("Agent", "e1", '"now"'), Operator("IMP", ("b2", "b3")),
+          Box("p1", ("x1",), (Unary("dog", "x1"),), presupposed=True)]
+
+
+class TestValues:
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_fields_cannot_be_assigned(self, value):
+        for name in value.__dataclass_fields__:
+            before = getattr(value, name)
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, before)
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, name)
+            assert getattr(value, name) == before
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_replace_with_no_change_is_equal(self, value):
+        copy = replace(value)
+        assert copy == value and hash(copy) == hash(value) and copy is not value
+        assert repr(copy) == repr(value)
+
+    def test_replace_gives_equal_hashing_values(self):
+        b = Box("b1", ("x1",), (Unary("dog", "x1"),))
+        changed = replace(b, conditions=(replace(b.conditions[0], predicate="cat"),))
+        want = Box("b1", ("x1",), (Unary("cat", "x1"),))
+        assert changed == want and hash(changed) == hash(want)
+        assert replace(Unary("dog", "x1"), argument="x2") == Unary("dog", "x2")
+        assert hash(replace(Unary("dog", "x1"), argument="x2")) == hash(Unary("dog", "x2"))
+
+    def test_keyword_and_default_construction(self):
+        assert Box(id="b1") == Box("b1", (), (), False)
+        assert Binary(role="Agent", first="e1", second="x1") == Binary("Agent", "e1", "x1")
+        assert repr(Box("b1")) == \
+            "Box(id='b1', referents=(), conditions=(), presupposed=False)"

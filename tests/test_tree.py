@@ -36,6 +36,17 @@ def leaves(node, out=None):
     return out
 
 
+def leaf_nodes(node):
+    """Every leaf occurrence under ``node``, in preorder."""
+    out, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        if n.is_leaf:
+            out.append(n)
+        stack.extend(reversed(n.children))
+    return out
+
+
 def condition_leaves(node, out=None, in_condition=False):
     """Leaf tokens appearing inside C1/C2 condition nodes only."""
     if out is None:
@@ -99,6 +110,10 @@ class TestToTree:
         with pytest.raises(DataError, match="merge presuppositions"):
             to_tree(d)
 
+    def test_one_leaf_object_per_label(self, fig1_drs):
+        found = leaf_nodes(to_tree(fig1_drs).root)
+        assert len({id(n) for n in found}) == len({n.label for n in found}) < len(found)
+
     def test_sorts_preserved_end_to_end(self, rng):
         for _ in range(20):
             d = random_drs(rng)
@@ -117,6 +132,18 @@ class TestNode:
         assert t != Node("C1", (Node("dog"), Node("x1"), Node("x1")))
         assert t != Node("C2", (Node("dog"), Node("x1")))
         assert t != "C1"
+
+    @pytest.mark.parametrize("other", [("x", ()), "x", None, 0, ["x"]])
+    def test_never_equals_a_non_node(self, other):
+        assert Node("x") != other
+        assert not Node("x") == other
+
+    @pytest.mark.parametrize("field", ["label", "children"])
+    def test_fields_cannot_be_assigned(self, field):
+        t = Node("C1", (Node("dog"), Node("x1")))
+        with pytest.raises(AttributeError):
+            setattr(t, field, ())
+        assert t == Node("C1", (Node("dog"), Node("x1")))
 
     def test_repr_of_deep_not_chain(self):
         depth = 5000
@@ -172,6 +199,10 @@ class TestLinearize:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             delinearize(LinearSeq(()))
+
+    def test_one_leaf_object_per_label(self, fig1_drs):
+        found = leaf_nodes(delinearize(linearize(to_tree(fig1_drs))).root)
+        assert len({id(n) for n in found}) == len({n.label for n in found}) < len(found)
 
     def test_random_round_trips(self, rng):
         for _ in range(30):
