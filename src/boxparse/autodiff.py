@@ -16,12 +16,19 @@ matrix a rank-1 gradient; for a leaf matrix, ``backward`` keeps the two
 factors and adds all of them at its end in one matrix product. Leaves have
 no backward of their own, so nothing reads their gradient before then, and
 no pending factor outlives the call, even one that raises.
+
+No two tensors share a gradient array: an op's backward adopts a gradient
+it computes fresh, and copies one it passes on unchanged (``add`` and
+``sum_over`` pass theirs to each operand, ``concat`` a slice to each part).
+So scaling one tensor's gradient in place, as ``clip_grad_norm`` does,
+leaves every other gradient as it was.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import count
-from operator import attrgetter
+from operator import attrgetter, index as _as_index
 
 import numpy as np
 
@@ -31,7 +38,8 @@ _DTYPE = np.float64
 
 
 def set_dtype(dtype) -> None:
-    """Switch the default float precision (float64 for tests, float32 for speed)."""
+    """Switch the default float precision (float64 for tests, float32 for speed)
+    of new tensors. An op's output takes its operands' dtype."""
     global _DTYPE
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -68,9 +76,12 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` to the gradient; a ``fresh`` array, one that nothing else
+        holds, becomes the first gradient itself, and any other is copied."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = g if fresh and type(g) is np.ndarray else np.array(
+                g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -89,23 +100,32 @@ def uniform(shape, rng: np.random.Generator, scale: float = 0.08,
     return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=requires_grad)
 
 
-def _wants_grad(t: Tensor) -> bool:
-    return t.requires_grad or bool(t._parents)
-
-
 # numbers interior nodes as they are made; one counter serves every graph,
 # since the order only has to put each node after its parents
 _creation = count()
+_new_tensor = object.__new__
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    out = Tensor(data)
+    """The node of an op's output. It gets ``backward_fn(g)`` only if a parent
+    wants a gradient, so a one-parent backward need not ask. ``data`` already
+    has its operands' dtype. Ops pass a ``partial`` of a module-level backward,
+    and its ``args`` as ``parents`` where they match: the garbage collector
+    tracks each object a node holds."""
+    if type(data) is not np.ndarray:  # a 0-d result comes back as a numpy scalar
+        data = np.asarray(data)
+    out = _new_tensor(Tensor)
+    out.data = data
+    out.grad = out._factors = None
+    out.requires_grad = False
     for p in parents:
         if p.requires_grad or p._parents:
             out._parents = parents
             out._backward = backward_fn
             out._created = next(_creation)
-            break
+            return out
+    out._parents = ()
+    out._backward = None
     return out
 
 
@@ -114,46 +134,48 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if not (a.data.shape == b.data.shape or a.data.ndim == 0 or b.data.ndim == 0
             or a.data.ndim == 2 and b.data.shape == a.data.shape[1:]):
         raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out_data = a.data + b.data
+    bwd = partial(_add_backward, a, b)
+    return _make(a.data + b.data, bwd.args, bwd)
 
-    def bwd(g):
+
+def _add_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    if a.requires_grad or a._parents:
         _acc_reduced(a, g)
+    if b.requires_grad or b._parents:
         _acc_reduced(b, g)
 
-    return _make(out_data, (a, b), bwd)
 
-
-def _acc_reduced(t: Tensor, g: np.ndarray) -> None:
+def _acc_reduced(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     """Accumulate g into t, summing the leading axes that broadcasting added."""
-    if not _wants_grad(t):
-        return
     if g.ndim > t.data.ndim:
-        g = g.sum(axis=tuple(range(g.ndim - t.data.ndim)))
+        g, fresh = (g.sum(axis=0) if t.data.ndim else g.sum()), True
     if g.shape != t.data.shape:
         raise ShapeError(f"gradient shape {g.shape} does not reduce to {t.data.shape}")
-    t._accumulate(g)
+    t._accumulate(g, fresh)
 
 
 def scale(a: Tensor, k: float) -> Tensor:
-    out_data = a.data * k
+    k = float(k)  # a Python float keeps a float32 operand float32
+    return _make(a.data * k, (a,), partial(_scale_backward, a, k))
 
-    def bwd(g):
-        _acc_reduced(a, g * k)
 
-    return _make(out_data, (a,), bwd)
+def _scale_backward(a: Tensor, k: float, g: np.ndarray) -> None:
+    a._accumulate(g * k, True)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; one operand may be a scalar tensor."""
     if not (a.data.shape == b.data.shape or a.data.ndim == 0 or b.data.ndim == 0):
         raise ShapeError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out_data = a.data * b.data
+    bwd = partial(_mul_backward, a, b)
+    return _make(a.data * b.data, bwd.args, bwd)
 
-    def bwd(g):
-        _acc_reduced(a, g * b.data)
-        _acc_reduced(b, g * a.data)
 
-    return _make(out_data, (a, b), bwd)
+def _mul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    if a.requires_grad or a._parents:
+        _acc_reduced(a, g * b.data, True)
+    if b.requires_grad or b._parents:
+        _acc_reduced(b, g * a.data, True)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -165,29 +187,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out_data = a.data @ b.data
     except ValueError as e:
         raise ShapeError(str(e)) from e
+    bwd = partial(_matmul_backward, a, b)
+    return _make(out_data, bwd.args, bwd)
 
-    def bwd(g):
-        # each operand's gradient is g contracted with the other operand
-        ad, bd = a.data, b.data
-        if _wants_grad(a):
-            if bd.ndim == 2:
-                a._accumulate(g @ bd.T)
-            else:
-                _acc_outer(a, g, bd)
-        if _wants_grad(b):
-            if ad.ndim == 2:
-                b._accumulate(ad.T @ g)
-            else:
-                _acc_outer(b, ad, g)
 
-    return _make(out_data, (a, b), bwd)
+def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    # each operand's gradient is g contracted with the other operand
+    ad, bd = a.data, b.data
+    if a.requires_grad or a._parents:
+        if bd.ndim == 2:
+            a._accumulate(g @ bd.T, True)
+        else:
+            _acc_outer(a, g, bd)
+    if b.requires_grad or b._parents:
+        if ad.ndim == 2:
+            b._accumulate(ad.T @ g, True)
+        else:
+            _acc_outer(b, ad, g)
 
 
 def _acc_outer(t: Tensor, u: np.ndarray, v: np.ndarray) -> None:
     """Accumulate ``np.multiply.outer(u, v)`` into t, or, for a leaf that a
     running ``backward`` collects terms for, keep the factors."""
     if t._factors is None:
-        t._accumulate(np.multiply.outer(u, v))
+        t._accumulate(np.multiply.outer(u, v), True)
     else:
         t._factors[0].append(u)
         t._factors[1].append(v)
@@ -195,16 +218,19 @@ def _acc_outer(t: Tensor, u: np.ndarray, v: np.ndarray) -> None:
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
     """Inner product of two equal-length vectors, as a 0-d tensor."""
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ShapeError(f"dot: need equal 1D shapes, got {a.data.shape}, {b.data.shape}")
+    x, y = a.data, b.data
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ShapeError(f"dot: need equal 1D shapes, got {x.shape}, {y.shape}")
+    bwd = partial(_dot_backward, a, b)
+    # ndarray.dot skips the dispatch of ``@`` and gives the same bits on vectors
+    return _make(x.dot(y), bwd.args, bwd)
 
-    def bwd(g):
-        if _wants_grad(a):
-            a._accumulate(g * b.data)
-        if _wants_grad(b):
-            b._accumulate(g * a.data)
 
-    return _make(a.data @ b.data, (a, b), bwd)
+def _dot_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    if a.requires_grad or a._parents:
+        a._accumulate(g * b.data, True)
+    if b.requires_grad or b._parents:
+        b._accumulate(g * a.data, True)
 
 
 def concat(parts: list[Tensor]) -> Tensor:
@@ -215,27 +241,32 @@ def concat(parts: list[Tensor]) -> Tensor:
     """
     if not parts:
         raise ShapeError("concat of zero tensors")
-    if any(p.data.ndim > 1 for p in parts):
+    datas = [p.data for p in parts]
+    ndims = {d.ndim for d in datas}
+    if not ndims <= {0, 1}:
         raise ShapeError("concat supports 0-d and 1D tensors only")
-    out_data = np.concatenate([p.data.reshape(-1) for p in parts])
+    out_data = np.array(datas) if ndims == {0} else np.concatenate(
+        [d if d.ndim else d.reshape(1) for d in datas])
+    parents = tuple(parts)
+    return _make(out_data, parents, partial(_concat_backward, parents, datas))
 
-    def bwd(g):
-        off = 0
-        for p in parts:
-            n = p.data.size
-            _acc_reduced(p, g[off:off + n].reshape(p.data.shape))
-            off += n
 
-    return _make(out_data, tuple(parts), bwd)
+def _concat_backward(parts: tuple[Tensor, ...], datas: list[np.ndarray], g: np.ndarray) -> None:
+    g = g.copy()  # each part adopts its own disjoint view of the copy
+    off = 0
+    for p, d in zip(parts, datas):
+        if p.requires_grad or p._parents:
+            p._accumulate(g[off:off + d.size] if d.ndim else g[off, ...], True)
+        off += d.size
 
 
 def tanh(a: Tensor) -> Tensor:
     out_data = np.tanh(a.data)
+    return _make(out_data, (a,), partial(_tanh_backward, a, out_data))
 
-    def bwd(g):
-        _acc_reduced(a, g * (1.0 - out_data * out_data))
 
-    return _make(out_data, (a,), bwd)
+def _tanh_backward(a: Tensor, y: np.ndarray, g: np.ndarray) -> None:
+    a._accumulate(g * (1.0 - y * y), True)
 
 
 def sum_over(parts: list[Tensor]) -> Tensor:
@@ -248,41 +279,50 @@ def sum_over(parts: list[Tensor]) -> Tensor:
     out_data = parts[0].data.copy()
     for p in parts[1:]:
         out_data += p.data
+    parents = tuple(parts)
+    return _make(out_data, parents, partial(_sum_over_backward, parents))
 
-    def bwd(g):
-        for p in parts:
-            _acc_reduced(p, g)
 
-    return _make(out_data, tuple(parts), bwd)
+def _sum_over_backward(parts: tuple[Tensor, ...], g: np.ndarray) -> None:
+    for p in parts:
+        if p.requires_grad or p._parents:
+            p._accumulate(g)
 
 
 def reduce_sum(a: Tensor) -> Tensor:
-    out_data = a.data.sum()
+    return _make(a.data.sum(), (a,), partial(_reduce_sum_backward, a))
 
-    def bwd(g):
-        _acc_reduced(a, np.full(a.data.shape, g, dtype=a.data.dtype))
 
-    return _make(np.asarray(out_data), (a,), bwd)
+def _reduce_sum_backward(a: Tensor, g: np.ndarray) -> None:
+    a._accumulate(np.full(a.data.shape, g, dtype=a.data.dtype), True)
+
+
+def _index(i, n: int, what: str) -> int:
+    """``i`` as an int in range(n); anything else raises ShapeError."""
+    try:
+        k = _as_index(i)
+    except TypeError:
+        raise ShapeError(f"{what} {i!r} is not an integer") from None
+    if not 0 <= k < n:
+        raise ShapeError(f"{what} {i} out of range {n}")
+    return k
 
 
 def embedding_lookup(table: Tensor, index: int) -> Tensor:
     if table.data.ndim != 2:
         raise ShapeError("embedding table must be 2D")
-    if not 0 <= index < table.data.shape[0]:
-        raise ShapeError(f"embedding index {index} out of range {table.data.shape[0]}")
-    out_data = table.data[index].copy()
+    index = _index(index, table.data.shape[0], "embedding index")
+    return _make(table.data[index].copy(), (table,), partial(_embedding_backward, table, index))
 
-    def bwd(g):
-        if _wants_grad(table):
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            table.grad[index] += g
 
-    return _make(out_data, (table,), bwd)
+def _embedding_backward(table: Tensor, index: int, g: np.ndarray) -> None:
+    if table.grad is None:
+        table.grad = np.zeros_like(table.data)
+    table.grad[index] += g
 
 
 def _masked_softmax(logits: np.ndarray, mask) -> np.ndarray:
-    z = logits.astype(logits.dtype, copy=True)
+    z = logits
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != z.shape:
@@ -290,9 +330,10 @@ def _masked_softmax(logits: np.ndarray, mask) -> np.ndarray:
         if not mask.any():
             raise ShapeError("softmax with all positions masked")
         z = np.where(mask, z, -np.inf)
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    e = z - z.max()  # a new array, so the steps below may work in place
+    np.exp(e, out=e)
+    e /= e.sum()
+    return e
 
 
 def softmax(a: Tensor, mask=None) -> Tensor:
@@ -300,31 +341,30 @@ def softmax(a: Tensor, mask=None) -> Tensor:
     if a.data.ndim != 1:
         raise ShapeError("softmax expects a 1D tensor")
     p = _masked_softmax(a.data, mask)
+    return _make(p, (a,), partial(_softmax_backward, a, p))
 
-    def bwd(g):
-        inner = (g * p).sum()
-        _acc_reduced(a, p * (g - inner))
 
-    return _make(p, (a,), bwd)
+def _softmax_backward(a: Tensor, p: np.ndarray, g: np.ndarray) -> None:
+    inner = (g * p).sum()
+    a._accumulate(p * (g - inner), True)
 
 
 def softmax_cross_entropy(logits: Tensor, target: int, mask=None) -> Tensor:
     """Negative log-likelihood of ``target`` under softmax(logits)."""
     if logits.data.ndim != 1:
         raise ShapeError("softmax_cross_entropy expects 1D logits")
-    if not 0 <= target < logits.data.shape[0]:
-        raise ShapeError(f"target {target} out of range")
+    target = _index(target, logits.data.shape[0], "target")
     p = _masked_softmax(logits.data, mask)
     if p[target] <= 0.0:
         raise ShapeError("target position is masked out")
-    loss = -np.log(p[target])
+    bwd = partial(_cross_entropy_backward, logits, p, target)
+    return _make(-np.log(p[target]), (logits,), bwd)
 
-    def bwd(g):
-        d = p.copy()
-        d[target] -= 1.0
-        _acc_reduced(logits, g * d)
 
-    return _make(np.asarray(loss), (logits,), bwd)
+def _cross_entropy_backward(logits: Tensor, p: np.ndarray, target: int, g: np.ndarray) -> None:
+    d = p.copy()
+    d[target] -= 1.0
+    logits._accumulate(g * d, True)
 
 
 def backward(loss: Tensor) -> None:
@@ -356,14 +396,14 @@ def backward(loss: Tensor) -> None:
                 p._factors = ([], [])
                 leaves.append(p)
     try:
-        loss._accumulate(np.asarray(1.0, dtype=loss.data.dtype))
+        loss._accumulate(np.ones((), dtype=loss.data.dtype), True)
         for node in sorted(interior, key=attrgetter("_created"), reverse=True):
             if node.grad is not None:
                 node._backward(node.grad)
         for t in leaves:
             us, vs = t._factors
             if us:
-                t._accumulate(np.array(us).T @ np.array(vs))
+                t._accumulate(np.array(us).T @ np.array(vs), True)
     finally:
         for t in leaves:
             t._factors = None

@@ -191,7 +191,12 @@ class Drs:
 
     @cached_property
     def _valid(self) -> bool:
-        _check(self)  # raises, and then nothing is cached
+        try:
+            _check(self)  # raises, and then nothing is cached
+        except (TypeError, AttributeError) as e:
+            # a field of the wrong type fails where _check hashes it, reads
+            # it as a str or reads its attributes, at no cost to valid input
+            raise DataError(f"a field of the wrong type: {e}") from e
         return True
 
 
@@ -287,7 +292,8 @@ def validate(d: Drs) -> Drs:
     other than REF and the operators; the top box is not presupposed; and
     every box hosts a clause or is named by one. A relation is a
     (label, box, box) triple and a condition a Unary, Binary or Operator;
-    any other shape raises ``DataError``.
+    every sequence is a tuple and every label, symbol and id a str, as the
+    parser gives them; any other shape or type raises ``DataError``.
 
     A Drs that passed is remembered, so checking it again costs nothing. A
     failure is not remembered: the same value raises again.
@@ -297,6 +303,9 @@ def validate(d: Drs) -> Drs:
 
 
 def _check(d: Drs) -> None:
+    # a list where the parser gives a tuple passes every other check
+    if type(d.boxes) is not tuple or type(d.relations) is not tuple:
+        raise DataError("a Drs holds a tuple of boxes and a tuple of relations")
     known = d._by_id
     if len(known) != len(d.boxes):
         raise DataError("duplicate box ids")
@@ -310,6 +319,8 @@ def _check(d: Drs) -> None:
     for b in d.boxes:
         if not is_box_id(b.id) or b.presupposed != (b.id[0] == "p"):  # 'p' marks presupposed
             raise DataError(f"bad box id {b.id!r} for presupposed={b.presupposed}")
+        if type(b.referents) is not tuple or type(b.conditions) is not tuple:
+            raise DataError(f"box {b.id} does not hold tuples of referents and conditions")
         if b.presupposed:
             presupposed.add(b.id)
         for v in b.referents:
@@ -327,8 +338,8 @@ def _check(d: Drs) -> None:
                 if c.op not in OPERATORS:
                     raise UnknownOperator(f"unknown operator {c.op!r}")
                 want = 1 if c.op in UNARY_OPERATORS else 2
-                if len(c.boxes) != want:
-                    raise DataError(f"operator {c.op} takes {want} box(es)")
+                if type(c.boxes) is not tuple or len(c.boxes) != want:
+                    raise DataError(f"operator {c.op} takes a tuple of {want} box(es)")
                 for ref in c.boxes:
                     if ref not in known:
                         raise DataError(f"operator references unknown box {ref!r}")
@@ -341,10 +352,9 @@ def _check(d: Drs) -> None:
             raise DataError(f"labels {fault[1]}: {bad}")
     relation_labels: set[str] = set()  # those that passed
     for rel in d.relations:
-        try:
-            label, a, bb = rel
-        except (TypeError, ValueError):
-            raise DataError(f"relation {rel!r} is not a (label, box, box) triple") from None
+        if type(rel) is not tuple or len(rel) != 3:
+            raise DataError(f"relation {rel!r} is not a (label, box, box) triple")
+        label, a, bb = rel
         if label not in relation_labels:
             if not _is_keyword(label) or _SPACE_RE.search(label) or label in ("REF", *OPERATORS):
                 raise DataError(f"bad relation label {label!r}")

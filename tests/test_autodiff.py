@@ -103,6 +103,103 @@ class TestForwardOps:
         assert np.allclose(table.grad[2], 1.0)
         assert np.allclose(table.grad[[0, 1, 3]], 0.0)
 
+    @pytest.mark.parametrize("index", [1.5, "1", None, np.float64(1.0), 4, -1])
+    def test_index_that_is_no_integer_in_range_raises_shape_error(self, index):
+        table = ad.tensor(np.ones((4, 3)), requires_grad=True)
+        with pytest.raises(ShapeError):
+            ad.embedding_lookup(table, index)
+        with pytest.raises(ShapeError):
+            ad.softmax_cross_entropy(ad.tensor(np.zeros(4)), index)
+
+    def test_numpy_integer_index(self):
+        table = ad.tensor(np.arange(12.0).reshape(4, 3))
+        assert np.array_equal(ad.embedding_lookup(table, np.int64(1)).data, [3.0, 4.0, 5.0])
+        loss = ad.softmax_cross_entropy(ad.tensor(np.zeros(4)), np.int32(3))
+        assert float(loss.data) == pytest.approx(math.log(4))
+
+
+# concat's parts: 0-d only (attention scores), 1D only (state vectors), and
+# both (a bias entry joined to features)
+CONCAT_PARTS = {"scalars": [(), (), ()], "vectors": [(2,), (3,)], "mixed": [(), (2,), ()]}
+
+
+class TestConcat:
+    @pytest.mark.parametrize("shapes", CONCAT_PARTS.values(), ids=CONCAT_PARTS)
+    def test_values_and_gradients(self, shapes):
+        rng = np.random.default_rng(31)
+        params = {f"p{i}": ad.uniform(shape, rng, scale=1.0) for i, shape in enumerate(shapes)}
+        out = ad.concat(list(params.values()))
+        want = np.concatenate([np.ravel(p.data) for p in params.values()])
+        assert out.shape == want.shape
+        assert np.array_equal(out.data, want)
+        weights = ad.tensor(rng.normal(size=want.shape))
+
+        def loss_fn():
+            return ad.reduce_sum(ad.tanh(ad.mul(ad.concat(list(params.values())), weights)))
+
+        report = check_gradients(loss_fn, params, name="concat")
+        assert report.passed, report.worst
+        for p in params.values():
+            assert p.grad.shape == p.data.shape
+
+    @pytest.mark.parametrize("shapes", CONCAT_PARTS.values(), ids=CONCAT_PARTS)
+    def test_2d_part_raises_shape_error(self, shapes):
+        parts = [ad.tensor(np.ones(shape)) for shape in shapes] + [ad.tensor(np.ones((2, 2)))]
+        with pytest.raises(ShapeError):
+            ad.concat(parts)
+
+
+def ownership_graph():
+    """Leaves and a loss built from them. The leaves that only ``add``,
+    ``sum_over`` or ``concat`` use take their first gradient from an op that
+    passes its own on unchanged; the others meet ops that compute theirs
+    fresh."""
+    rng = np.random.default_rng(41)
+    w = ad.uniform((3, 4), rng, scale=1.0)
+    a1, a2, q1, q2, r, x = (ad.uniform((4,), rng, scale=1.0) for _ in range(6))
+    s1, s2, s3 = (ad.uniform((), rng, scale=1.0) for _ in range(3))
+    leaves = [w, a1, a2, q1, q2, r, x, s1, s2, s3]
+    summed = ad.sum_over([q1, q2, ad.add(a1, a2)])
+    joined = ad.concat([s1, r, s2])
+    scores = ad.concat([ad.dot(summed, x), s3, ad.dot(x, x)])
+    h = ad.tanh(ad.matmul(w, ad.mul(s3, summed)))
+    loss = ad.add(ad.reduce_sum(ad.mul(joined, joined)),
+                  ad.add(ad.dot(h, h), ad.reduce_sum(ad.softmax(scores))))
+    return leaves, loss
+
+
+def graph_tensors(loss):
+    """Every tensor reachable from ``loss``."""
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+class TestGradientOwnership:
+    def test_no_two_tensors_share_a_gradient(self):
+        leaves, loss = ownership_graph()
+        ad.backward(loss)
+        grads = [t.grad for t in graph_tensors(loss) if t.grad is not None]
+        assert len(grads) > 15 and all(t.grad is not None for t in leaves)
+        for i, g in enumerate(grads):
+            assert isinstance(g, np.ndarray)
+            for other in grads[i + 1:]:
+                assert not np.shares_memory(g, other)
+
+    def test_clipping_leaf_gradients_leaves_interior_ones_unchanged(self):
+        leaves, loss = ownership_graph()
+        ad.backward(loss)
+        interior = [t for t in graph_tensors(loss) if t._parents]
+        before = [t.grad.copy() for t in interior]
+        norm = ad.clip_grad_norm(leaves, 1e-3)
+        assert norm > 1e-3  # so every leaf gradient was scaled in place
+        for t, g in zip(interior, before):
+            assert np.array_equal(t.grad, g)
+
 
 class TestBackward:
     def test_sum_of_squares(self):
@@ -333,6 +430,33 @@ class TestDeterminism:
         finally:
             ad.set_dtype(np.float64)
         assert ad.zeros(3).data.dtype == np.float64
+
+    def test_every_op_and_gradient_stays_float32(self):
+        ad.set_dtype(np.float32)
+        try:
+            rng = np.random.default_rng(43)
+            w = ad.uniform((3, 4), rng)
+            table = ad.uniform((5, 4), rng)
+            x, s = ad.uniform((4,), rng), ad.uniform((), rng)
+            row = ad.embedding_lookup(table, 2)
+            outs = [row, ad.add(x, row), ad.add(ad.tensor(np.ones((2, 4))), x), ad.add(x, s),
+                    ad.scale(x, np.float64(0.5)), ad.mul(x, row), ad.mul(s, x),
+                    ad.matmul(w, x), ad.matmul(ad.matmul(w, x), w),
+                    ad.matmul(w, ad.tensor(np.ones((4, 2)))), ad.tanh(x), ad.tanh(s),
+                    ad.concat([s, x]), ad.sum_over([x, row]), ad.softmax(x, mask=[1, 0, 1, 1])]
+            scalars = [ad.dot(x, row), ad.reduce_sum(w), ad.softmax_cross_entropy(x, 1)]
+            for t in scalars:
+                assert type(t.data) is np.ndarray and t.data.shape == ()
+            loss = ad.sum_over(scalars + [ad.reduce_sum(t) for t in outs])
+            ad.backward(loss)
+            for t in graph_tensors(loss):
+                assert t.data.dtype == np.float32
+                if t.grad is not None:
+                    assert t.grad.dtype == np.float32
+                    assert t.grad.shape == t.data.shape
+            assert all(t.grad is not None for t in outs + scalars + [w, table, x, s])
+        finally:
+            ad.set_dtype(np.float64)
 
 
 class TestAdam:

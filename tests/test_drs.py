@@ -421,7 +421,38 @@ LABELS = ["dog", "dog.n.01", "A.n.01", "Ref.n.01", "REF.n.01", "NOT.n.01",
 LEMMAS = ["aprire", "A", "REF", "NOT.n.01", "NARRATION", "x1", "b2.n.01"]
 
 
+def _dog(box_id: str, x: str) -> Box:
+    return Box(box_id, (x,), (Unary("dog", x),))
+
+
+# DRSs with one field of the wrong type: a value that is no str where clause
+# text gives a str, a str that is no Box, or a list where the parser gives a
+# tuple (such a DRS would neither read back equal nor hash)
+WRONG_TYPES = {
+    "unary_int_argument": Drs((Box("b1", ("x1",), (Unary("dog", 1),)),), (), "b1"),
+    "unary_int_predicate": Drs((Box("b1", ("x1",), (Unary(1, "x1"),)),), (), "b1"),
+    "int_referent": Drs((Box("b1", (1,), ()),), (), "b1"),
+    "binary_list_argument": Drs((Box("b1", ("x1",), (Unary("dog", "x1"),
+                                                      Binary("Agent", "x1", ["a"]))),), (), "b1"),
+    "int_relation_label": Drs((_dog("b1", "x1"), _dog("b2", "x2"), _dog("b3", "x3")),
+                              ((1, "b2", "b3"),), "b1"),
+    "list_relation": Drs((_dog("b1", "x1"), _dog("b2", "x2"), _dog("b3", "x3")),
+                         (["CONTINUATION", "b2", "b3"],), "b1"),
+    "str_for_box": Drs(("b1",), (), "b1"),
+    "operator_list_boxes": Drs((Box("b1", ("x1",), (Unary("dog", "x1"), Operator("NOT", ["b2"]))),
+                                _dog("b2", "x2")), (), "b1"),
+    "box_list_referents": Drs((Box("b1", ["x1"], (Unary("dog", "x1"),)),), (), "b1"),
+    "list_of_boxes": Drs([_dog("b1", "x1")], (), "b1"),
+    "int_top": Drs((_dog("b1", "x1"),), (), 1),
+}
+
+
 class TestValidate:
+    @pytest.mark.parametrize("d", WRONG_TYPES.values(), ids=WRONG_TYPES)
+    def test_wrong_typed_field_raises_data_error(self, d):
+        with pytest.raises(DataError):
+            validate(d)
+
     def test_random_drs_validate(self, rng):
         for _ in range(30):
             d = random_drs(rng)
