@@ -7,15 +7,19 @@ multiplies a matrix by a matrix or by a vector (a row on its left, a column
 on its right), and ``dot`` two vectors. No broadcasting beyond row-bias
 addition and scalar scaling.
 
-A computation graph is the set of Tensors linked through ``_parents``.
-Each op numbers the node it makes, and a node's parents exist before it, so
-``backward`` runs the reachable nodes' backwards newest first, which is a
-reverse topological order. Gradients accumulate, so a parameter used several
-times receives the summed gradient. A matrix-vector product gives its
-matrix a rank-1 gradient; for a leaf matrix, ``backward`` keeps the two
-factors and adds all of them at its end in one matrix product. Leaves have
-no backward of their own, so nothing reads their gradient before then, and
-no pending factor outlives the call, even one that raises.
+A computation graph is the set of Tensors linked through ``_parents``. A
+node holds its operands there, in ``_backward`` a module-level function
+``(node, g)`` that passes the gradient ``g`` on to them, and in ``_ctx`` at
+most one value it does not hold already (``scale``'s factor, say); ``tanh``
+reads its output from ``data``. So the garbage collector tracks two objects
+per node: the Tensor and its parents tuple. Each op numbers its node, and a
+node's parents exist before it, so ``backward`` runs the reachable nodes'
+backwards newest first, a reverse topological order. Gradients accumulate.
+A matrix-vector product gives its matrix a rank-1 gradient; for a leaf
+matrix, ``backward`` keeps the two factors and adds them all at its end in
+one matrix product. Leaves have no backward of their own, so nothing reads
+their gradient before then, and no pending factor outlives the call, even
+one that raises.
 
 No two tensors share a gradient array: an op's backward adopts a gradient
 it computes fresh, and copies one it passes on unchanged (``add`` and
@@ -26,13 +30,12 @@ leaves every other gradient as it was.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import count
 from operator import attrgetter, index as _as_index
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 
 _DTYPE = np.float64
 
@@ -53,8 +56,8 @@ class Tensor:
     ``data`` is row-major; ``grad`` (once populated) always matches its shape.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_created",
-                 "_factors")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_ctx",
+                 "_created", "_factors")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DTYPE)
@@ -62,8 +65,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
-        # a leaf's pending rank-1 gradient terms (lefts, rights), while
-        # ``backward`` runs
+        # a leaf's pending rank-1 terms (lefts, rights) while ``backward`` runs
         self._factors: tuple[list, list] | None = None
 
     @property
@@ -106,12 +108,10 @@ _creation = count()
 _new_tensor = object.__new__
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """The node of an op's output. It gets ``backward_fn(g)`` only if a parent
-    wants a gradient, so a one-parent backward need not ask. ``data`` already
-    has its operands' dtype. Ops pass a ``partial`` of a module-level backward,
-    and its ``args`` as ``parents`` where they match: the garbage collector
-    tracks each object a node holds."""
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, ctx=None) -> Tensor:
+    """The node of an op's output. It keeps ``parents``, ``backward_fn(node,
+    g)`` and ``ctx``, a saved value that is not a Tensor, only if a parent
+    wants a gradient, so a one-parent backward need not ask."""
     if type(data) is not np.ndarray:  # a 0-d result comes back as a numpy scalar
         data = np.asarray(data)
     out = _new_tensor(Tensor)
@@ -122,6 +122,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
         if p.requires_grad or p._parents:
             out._parents = parents
             out._backward = backward_fn
+            out._ctx = ctx
             out._created = next(_creation)
             return out
     out._parents = ()
@@ -134,11 +135,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if not (a.data.shape == b.data.shape or a.data.ndim == 0 or b.data.ndim == 0
             or a.data.ndim == 2 and b.data.shape == a.data.shape[1:]):
         raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
-    bwd = partial(_add_backward, a, b)
-    return _make(a.data + b.data, bwd.args, bwd)
+    return _make(a.data + b.data, (a, b), _add_backward)
 
 
-def _add_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+def _add_backward(node: Tensor, g: np.ndarray) -> None:
+    a, b = node._parents
     if a.requires_grad or a._parents:
         _acc_reduced(a, g)
     if b.requires_grad or b._parents:
@@ -156,22 +157,23 @@ def _acc_reduced(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
 
 def scale(a: Tensor, k: float) -> Tensor:
     k = float(k)  # a Python float keeps a float32 operand float32
-    return _make(a.data * k, (a,), partial(_scale_backward, a, k))
+    return _make(a.data * k, (a,), _times_ctx_backward, k)
 
 
-def _scale_backward(a: Tensor, k: float, g: np.ndarray) -> None:
-    a._accumulate(g * k, True)
+def _times_ctx_backward(node: Tensor, g: np.ndarray) -> None:
+    """For an op whose gradient is ``g`` times a factor it saved in ``_ctx``."""
+    node._parents[0]._accumulate(g * node._ctx, True)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; one operand may be a scalar tensor."""
     if not (a.data.shape == b.data.shape or a.data.ndim == 0 or b.data.ndim == 0):
         raise ShapeError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    bwd = partial(_mul_backward, a, b)
-    return _make(a.data * b.data, bwd.args, bwd)
+    return _make(a.data * b.data, (a, b), _mul_backward)
 
 
-def _mul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+def _mul_backward(node: Tensor, g: np.ndarray) -> None:
+    a, b = node._parents
     if a.requires_grad or a._parents:
         _acc_reduced(a, g * b.data, True)
     if b.requires_grad or b._parents:
@@ -187,12 +189,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out_data = a.data @ b.data
     except ValueError as e:
         raise ShapeError(str(e)) from e
-    bwd = partial(_matmul_backward, a, b)
-    return _make(out_data, bwd.args, bwd)
+    return _make(out_data, (a, b), _matmul_backward)
 
 
-def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+def _matmul_backward(node: Tensor, g: np.ndarray) -> None:
     # each operand's gradient is g contracted with the other operand
+    a, b = node._parents
     ad, bd = a.data, b.data
     if a.requires_grad or a._parents:
         if bd.ndim == 2:
@@ -221,12 +223,12 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     x, y = a.data, b.data
     if x.ndim != 1 or x.shape != y.shape:
         raise ShapeError(f"dot: need equal 1D shapes, got {x.shape}, {y.shape}")
-    bwd = partial(_dot_backward, a, b)
     # ndarray.dot skips the dispatch of ``@`` and gives the same bits on vectors
-    return _make(x.dot(y), bwd.args, bwd)
+    return _make(x.dot(y), (a, b), _dot_backward)
 
 
-def _dot_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+def _dot_backward(node: Tensor, g: np.ndarray) -> None:
+    a, b = node._parents
     if a.requires_grad or a._parents:
         a._accumulate(g * b.data, True)
     if b.requires_grad or b._parents:
@@ -247,26 +249,26 @@ def concat(parts: list[Tensor]) -> Tensor:
         raise ShapeError("concat supports 0-d and 1D tensors only")
     out_data = np.array(datas) if ndims == {0} else np.concatenate(
         [d if d.ndim else d.reshape(1) for d in datas])
-    parents = tuple(parts)
-    return _make(out_data, parents, partial(_concat_backward, parents, datas))
+    return _make(out_data, tuple(parts), _concat_backward)
 
 
-def _concat_backward(parts: tuple[Tensor, ...], datas: list[np.ndarray], g: np.ndarray) -> None:
+def _concat_backward(node: Tensor, g: np.ndarray) -> None:
     g = g.copy()  # each part adopts its own disjoint view of the copy
     off = 0
-    for p, d in zip(parts, datas):
+    for p in node._parents:
+        d = p.data
         if p.requires_grad or p._parents:
             p._accumulate(g[off:off + d.size] if d.ndim else g[off, ...], True)
         off += d.size
 
 
 def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-    return _make(out_data, (a,), partial(_tanh_backward, a, out_data))
+    return _make(np.tanh(a.data), (a,), _tanh_backward)
 
 
-def _tanh_backward(a: Tensor, y: np.ndarray, g: np.ndarray) -> None:
-    a._accumulate(g * (1.0 - y * y), True)
+def _tanh_backward(node: Tensor, g: np.ndarray) -> None:
+    y = node.data
+    node._parents[0]._accumulate(g * (1.0 - y * y), True)
 
 
 def sum_over(parts: list[Tensor]) -> Tensor:
@@ -279,22 +281,21 @@ def sum_over(parts: list[Tensor]) -> Tensor:
     out_data = parts[0].data.copy()
     for p in parts[1:]:
         out_data += p.data
-    parents = tuple(parts)
-    return _make(out_data, parents, partial(_sum_over_backward, parents))
+    return _make(out_data, tuple(parts), _sum_over_backward)
 
 
-def _sum_over_backward(parts: tuple[Tensor, ...], g: np.ndarray) -> None:
-    for p in parts:
+def _sum_over_backward(node: Tensor, g: np.ndarray) -> None:
+    for p in node._parents:
         if p.requires_grad or p._parents:
             p._accumulate(g)
 
 
 def reduce_sum(a: Tensor) -> Tensor:
-    return _make(a.data.sum(), (a,), partial(_reduce_sum_backward, a))
+    return _make(a.data.sum(), (a,), _reduce_sum_backward)
 
 
-def _reduce_sum_backward(a: Tensor, g: np.ndarray) -> None:
-    a._accumulate(np.full(a.data.shape, g, dtype=a.data.dtype), True)
+def _reduce_sum_backward(node: Tensor, g: np.ndarray) -> None:
+    node._parents[0]._accumulate(np.full_like(node._parents[0].data, g), True)
 
 
 def _index(i, n: int, what: str) -> int:
@@ -312,13 +313,14 @@ def embedding_lookup(table: Tensor, index: int) -> Tensor:
     if table.data.ndim != 2:
         raise ShapeError("embedding table must be 2D")
     index = _index(index, table.data.shape[0], "embedding index")
-    return _make(table.data[index].copy(), (table,), partial(_embedding_backward, table, index))
+    return _make(table.data[index].copy(), (table,), _embedding_backward, index)
 
 
-def _embedding_backward(table: Tensor, index: int, g: np.ndarray) -> None:
+def _embedding_backward(node: Tensor, g: np.ndarray) -> None:
+    table = node._parents[0]
     if table.grad is None:
         table.grad = np.zeros_like(table.data)
-    table.grad[index] += g
+    table.grad[node._ctx] += g
 
 
 def _masked_softmax(logits: np.ndarray, mask) -> np.ndarray:
@@ -340,13 +342,13 @@ def softmax(a: Tensor, mask=None) -> Tensor:
     """Softmax over a 1D tensor; masked-out positions get probability zero."""
     if a.data.ndim != 1:
         raise ShapeError("softmax expects a 1D tensor")
-    p = _masked_softmax(a.data, mask)
-    return _make(p, (a,), partial(_softmax_backward, a, p))
+    return _make(_masked_softmax(a.data, mask), (a,), _softmax_backward)
 
 
-def _softmax_backward(a: Tensor, p: np.ndarray, g: np.ndarray) -> None:
+def _softmax_backward(node: Tensor, g: np.ndarray) -> None:
+    p = node.data
     inner = (g * p).sum()
-    a._accumulate(p * (g - inner), True)
+    node._parents[0]._accumulate(p * (g - inner), True)
 
 
 def softmax_cross_entropy(logits: Tensor, target: int, mask=None) -> Tensor:
@@ -357,14 +359,9 @@ def softmax_cross_entropy(logits: Tensor, target: int, mask=None) -> Tensor:
     p = _masked_softmax(logits.data, mask)
     if p[target] <= 0.0:
         raise ShapeError("target position is masked out")
-    bwd = partial(_cross_entropy_backward, logits, p, target)
-    return _make(-np.log(p[target]), (logits,), bwd)
-
-
-def _cross_entropy_backward(logits: Tensor, p: np.ndarray, target: int, g: np.ndarray) -> None:
-    d = p.copy()
-    d[target] -= 1.0
-    logits._accumulate(g * d, True)
+    loss = -np.log(p[target])
+    p[target] -= 1.0  # p is now d(loss)/d(logits), which is all backward needs
+    return _make(loss, (logits,), _times_ctx_backward, p)
 
 
 def backward(loss: Tensor) -> None:
@@ -375,14 +372,14 @@ def backward(loss: Tensor) -> None:
     order: each runs its backward once, after every node it feeds. A call
     resets their grads first, so it propagates its own loss only; leaves
     accumulate across calls, and a leaf used several times gets the sum.
-    A leaf's rank-1 terms from matrix-vector products wait until the walk
-    ends and are then added as one matrix product. They never outlive the
-    call, even one that raises.
+    A leaf's rank-1 terms from matrix-vector products are added as one
+    matrix product when the walk ends, and never outlive the call.
     """
     if loss.data.ndim != 0:
         raise ShapeError("backward requires a scalar loss")
     stack = [loss] if loss._parents else []
-    interior = set(stack)
+    # in the order the walk finds them, nearly newest first: a cheap sort
+    interior = dict.fromkeys(stack)
     leaves: list[Tensor] = []  # that collect rank-1 terms
     while stack:
         node = stack.pop()
@@ -390,7 +387,7 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if p._parents:
                 if p not in interior:
-                    interior.add(p)
+                    interior[p] = None
                     stack.append(p)
             elif p.requires_grad and p._factors is None:
                 p._factors = ([], [])
@@ -399,7 +396,7 @@ def backward(loss: Tensor) -> None:
         loss._accumulate(np.ones((), dtype=loss.data.dtype), True)
         for node in sorted(interior, key=attrgetter("_created"), reverse=True):
             if node.grad is not None:
-                node._backward(node.grad)
+                node._backward(node, node.grad)
         for t in leaves:
             us, vs = t._factors
             if us:
@@ -410,12 +407,15 @@ def backward(loss: Tensor) -> None:
 
 
 def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
-    """Scale all grads so their global L2 norm is at most ``max_norm``."""
+    """Scale all grads so their global L2 norm is at most ``max_norm``. A
+    norm that is not finite raises ``NumericError`` and changes no grad."""
     sq = 0.0
     for p in params:
         if p.grad is not None:
             sq += float((p.grad * p.grad).sum())
     norm = float(np.sqrt(sq))
+    if not np.isfinite(norm):
+        raise NumericError(f"gradient norm is {norm}")
     if norm > max_norm > 0.0:
         k = max_norm / norm
         for p in params:

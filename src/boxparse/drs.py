@@ -285,15 +285,17 @@ def validate(d: Drs) -> Drs:
     among them; boxes nested inside an antecedent stay private. Every box
     must descend from the top or a presupposed box, and nesting is acyclic.
 
-    A valid DRS reads back equal from its clause text, up to box order (the
-    parser, ``merge_presuppositions`` and ``from_tree`` give the text's).
-    So predicate and role labels are single tokens spelled like no symbol or
-    keyword, with or without a sense suffix; relation labels are keywords
-    other than REF and the operators; the top box is not presupposed; and
-    every box hosts a clause or is named by one. A relation is a
-    (label, box, box) triple and a condition a Unary, Binary or Operator;
-    every sequence is a tuple and every label, symbol and id a str, as the
-    parser gives them; any other shape or type raises ``DataError``.
+    A valid DRS reads back equal from its clause text. So its boxes come in
+    the text's order, as the parser, ``merge_presuppositions`` and
+    ``from_tree`` give them: those that host a line, then the others by
+    first mention. Predicate and role labels are single tokens spelled like
+    no symbol or keyword, with or without a sense suffix; relation labels
+    are keywords other than REF and the operators; the top box is not
+    presupposed; and every box hosts a clause or is named by one. A relation
+    is a (label, box, box) triple and a condition a Unary, Binary or
+    Operator; every sequence is a tuple and every label, symbol and id a
+    str, as the parser gives them; any other shape or type raises
+    ``DataError``.
 
     A Drs that passed is remembered, so checking it again costs nothing. A
     failure is not remembered: the same value raises again.
@@ -420,6 +422,9 @@ def _check(d: Drs) -> None:
         if not any(b.id == d.top or b.presupposed for b in rest):
             raise DataError(f"boxes unreachable from top: {sorted(b.id for b in rest)}")
         _ancestor_chain(rest[0].id, parents)  # raises CyclicStructure
+    if _in_text_order(d) is not d:
+        raise DataError("boxes not in clause-text order: those that host a line, "
+                        "then the others by first mention")
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +583,9 @@ def box_clauses(box: Box) -> Iterator[tuple[str, ...]]:
 
 def format_clauses(doc: ClauseDocument | Drs) -> str:
     """Canonical clause-file text, the boxes in stored order. ``parse_clauses``
-    reads a valid DRS back equal, up to box order (see ``validate``), and
-    ``parse_clause_document`` its comments and alignment records. A comment
-    or record that would read back as something else raises ``DataError``."""
+    reads a valid DRS back equal, and ``parse_clause_document`` its comments
+    and alignment records. A comment or record that would read back as
+    something else raises ``DataError``."""
     if isinstance(doc, Drs):
         doc = ClauseDocument(drs=doc)
     d = doc.drs

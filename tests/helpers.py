@@ -106,14 +106,13 @@ class _DrsSampler:
         return next(b for b in self.boxes if b.id == box_id)
 
 
-def random_drs(rng: np.random.Generator, max_boxes: int = 4,
-               max_conditions: int = 12, allow_relations: bool = True) -> Drs:
-    """Random valid DRS built scope-correct by construction.
-
-    Normalized through the clause-text format so box order matches what
-    parsing the serialized form yields.
-    """
-    from boxparse.drs import format_clauses, parse_clauses
+def random_draft(rng: np.random.Generator, max_boxes: int = 4,
+                 max_conditions: int = 12, allow_relations: bool = True) -> Drs:
+    """Random DRS built scope-correct by construction, its boxes in the order
+    the sampler finishes them: children before their parent. So ``validate``
+    may reject it on box order alone, when a box that hosts no line comes
+    before one that does."""
+    from boxparse.drs import format_clauses
 
     while True:
         sampler = _DrsSampler(rng, max_boxes, max_conditions)
@@ -134,7 +133,17 @@ def random_drs(rng: np.random.Generator, max_boxes: int = 4,
             d = Drs(boxes=tuple(sampler.boxes), relations=(), top=top)
         if not format_clauses(d).strip():
             continue  # single empty box; not representable as clause text
-        return parse_clauses(format_clauses(validate(d)))
+        return d
+
+
+def random_drs(rng: np.random.Generator, max_boxes: int = 4,
+               max_conditions: int = 12, allow_relations: bool = True) -> Drs:
+    """Random valid DRS: a ``random_draft`` with its boxes in clause-text
+    order, read back from its clause text."""
+    from boxparse.drs import _in_text_order, format_clauses, parse_clauses
+
+    d = random_draft(rng, max_boxes, max_conditions, allow_relations)
+    return parse_clauses(format_clauses(validate(_in_text_order(d))))
 
 
 def small_drs_for_alignment(rng: np.random.Generator) -> Drs:

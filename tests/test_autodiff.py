@@ -1,10 +1,11 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
 from boxparse import autodiff as ad
-from boxparse.errors import ShapeError
+from boxparse.errors import NumericError, ShapeError
 from boxparse.gradcheck import check_gradients
 
 
@@ -220,15 +221,43 @@ class TestBackward:
         calls = {"n": 0}
         orig = y._backward
 
-        def counting(g):
+        def counting(node, g):
             calls["n"] += 1
-            orig(g)
+            orig(node, g)
 
         y._backward = counting
         z = ad.add(y, y)  # diamond: y feeds z twice
         ad.backward(ad.reduce_sum(z))
         assert calls["n"] == 1
         assert np.allclose(x.grad, 2 * (1 - np.tanh(x.data) ** 2))
+
+    def test_runs_newest_first_when_the_walk_finds_nodes_out_of_order(self):
+        x = ad.tensor(np.array([0.3, -0.7]), requires_grad=True)
+        a = ad.tanh(x)
+        b = ad.tanh(a)
+        c = ad.scale(a, 2.0)
+        e = ad.add(a, ad.mul(b, c))  # the walk reaches a from e before b and c
+        loss = ad.reduce_sum(e)
+        interior = [t for t in graph_tensors(loss) if t._parents]
+        calls = []
+        for t in interior:
+            def hook(node, g, run=t._backward):
+                calls.append(node)
+                run(node, g)
+            t._backward = hook
+        ad.backward(loss)
+        assert sorted(map(id, calls)) == sorted(map(id, interior))
+        created = [t._created for t in calls]
+        assert all(older < newer for newer, older in zip(created, created[1:]))
+        ran = {id(t): i for i, t in enumerate(calls)}
+        for t in calls:
+            for p in t._parents:
+                if p._parents:
+                    assert ran[id(p)] > ran[id(t)]
+        y = np.tanh(x.data)
+        # e = a + 2a tanh(a) with a = tanh(x)
+        want = (1 - y * y) * (1 + 2 * np.tanh(y) + 2 * y * (1 - np.tanh(y) ** 2))
+        np.testing.assert_allclose(x.grad, want, rtol=1e-12)
 
     def test_mlp_matches_finite_differences(self):
         report, _ = mlp_gradcheck()
@@ -331,7 +360,7 @@ class TestBackward:
             y = ad.scale(w, 1e-5)
             if wrong:
                 right = y._backward
-                y._backward = lambda g: right(0.5 * g)
+                y._backward = lambda node, g: right(node, 0.5 * g)
             return ad.reduce_sum(y)
 
         assert check_gradients(lambda: loss_fn(False), {"w": w}).passed
@@ -388,7 +417,7 @@ class TestDeferredProducts:
         x = ad.uniform((3,), rng, scale=1.0)
 
         def failing(a):
-            def bwd(g):
+            def bwd(node, g):
                 raise ArithmeticError("backward of a test op")
             return ad._make(a.data.copy(), (a,), bwd)
 
@@ -459,6 +488,39 @@ class TestDeterminism:
             ad.set_dtype(np.float64)
 
 
+class TestGraphObjects:
+    """The cyclic garbage collector visits every object it tracks; a graph
+    node costs it two, the Tensor and its parents tuple."""
+
+    @pytest.mark.parametrize("op", [
+        lambda v, u, m, s: ad.add(v, u),
+        lambda v, u, m, s: ad.mul(s, v),
+        lambda v, u, m, s: ad.dot(v, u),
+        lambda v, u, m, s: ad.matmul(m, v),
+        lambda v, u, m, s: ad.tanh(v),
+        lambda v, u, m, s: ad.concat([s, v, s]),
+        lambda v, u, m, s: ad.softmax(v),
+        lambda v, u, m, s: ad.softmax_cross_entropy(v, 2),
+        lambda v, u, m, s: ad.embedding_lookup(m, 1),
+        lambda v, u, m, s: ad.scale(v, 0.5),
+    ], ids=["add", "mul", "dot", "matmul", "tanh", "concat", "softmax",
+            "softmax_cross_entropy", "embedding_lookup", "scale"])
+    def test_a_node_holds_two_tracked_objects(self, op):
+        rng = np.random.default_rng(31)
+        v, u, m, s = (ad.uniform(shape, rng) for shape in ((4,), (4,), (3, 4), ()))
+        enabled = gc.isenabled()
+        gc.disable()  # so that no collection untracks anything meanwhile
+        try:
+            before = len(gc.get_objects())
+            nodes = [op(v, u, m, s) for _ in range(1000)]
+            grown = len(gc.get_objects()) - before
+        finally:
+            if enabled:
+                gc.enable()
+        assert all(n._parents for n in nodes)
+        assert grown <= 2010
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         w = ad.tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -511,3 +573,14 @@ class TestAdam:
         norm = ad.clip_grad_norm([w], 1.0)
         assert norm == pytest.approx(5.0)
         assert np.linalg.norm(w.grad) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_clip_grad_norm_of_a_non_finite_gradient_raises(self, bad):
+        u = ad.tensor(np.zeros(2), requires_grad=True)
+        w = ad.tensor(np.zeros(3), requires_grad=True)
+        u.grad, w.grad = np.array([40.0, -2.0]), np.array([3.0, bad, 0.0])
+        before = [u.grad.copy(), w.grad.copy()]
+        with pytest.raises(NumericError, match="gradient norm"):
+            ad.clip_grad_norm([u, w], 1.0)
+        for t, g in zip((u, w), before):
+            np.testing.assert_array_equal(t.grad, g)

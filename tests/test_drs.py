@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FIG1_CLAUSES, FIG1_LEMMAS, FIG1_TOKENS, random_drs
+from helpers import FIG1_CLAUSES, FIG1_LEMMAS, FIG1_TOKENS, random_draft, random_drs
 
 from boxparse import drs as drs_module
 from boxparse.drs import (
@@ -585,6 +585,26 @@ class TestValidate:
     def test_boxes_read_back_in_their_order(self, make):
         d = make()
         assert parse_clauses(format_clauses(d)) == d
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_every_accepted_drs_reads_back_equal(self, seed):
+        # about one draft in eleven has an empty box before one that hosts a line
+        draft = random_draft(np.random.default_rng(seed))
+        ordered = validate(drs_module._in_text_order(draft))
+        assert parse_clauses(format_clauses(ordered)) == ordered
+        if ordered is not draft:
+            with pytest.raises(DataError, match="clause-text order"):
+                validate(draft)
+
+    def test_boxes_out_of_text_order_raise(self):
+        # b2 hosts no line, so the text names it after b3, which hosts two
+        b1 = Box("b1", (), (Operator("NOT", ("b2",)), Operator("NOT", ("b3",))))
+        b2, b3 = Box("b2"), Box("b3", ("x1",), (Unary("dog", "x1"),))
+        with pytest.raises(DataError, match="clause-text order"):
+            validate(Drs(boxes=(b1, b2, b3), top="b1"))
+        d = Drs(boxes=(b1, b3, b2), top="b1")
+        assert parse_clauses(format_clauses(validate(d))) == d
 
     @pytest.mark.parametrize("relation", [("CONTINUATION", "b2"), ("CONTINUATION",),
                                           ("CONTINUATION", "b2", "b3", "b2"), None])
