@@ -26,6 +26,11 @@ it computes fresh, and copies one it passes on unchanged (``add`` and
 ``sum_over`` pass theirs to each operand, ``concat`` a slice to each part).
 So scaling one tensor's gradient in place, as ``clip_grad_norm`` does,
 leaves every other gradient as it was.
+
+Every tensor is float64. Data that numpy cannot turn into a float array
+raises ``ShapeError``. An operand that is not a ``Tensor`` raises
+``AttributeError``: that is a caller's bug, not bad data, and the ops do not
+test for it.
 """
 
 from __future__ import annotations
@@ -37,19 +42,6 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 
-_DTYPE = np.float64
-
-
-def set_dtype(dtype) -> None:
-    """Switch the default float precision (float64 for tests, float32 for speed)
-    of new tensors. An op's output takes its operands' dtype."""
-    global _DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ShapeError(f"unsupported dtype {dtype!r}")
-    _DTYPE = dt.type
-
-
 class Tensor:
     """A dense array with an optional gradient and parent links.
 
@@ -60,7 +52,10 @@ class Tensor:
                  "_created", "_factors")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DTYPE)
+        try:
+            self.data = np.asarray(data, dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise ShapeError(f"not a float array: {e}") from None
         self.grad = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -82,8 +77,7 @@ class Tensor:
         """Add ``g`` to the gradient; a ``fresh`` array, one that nothing else
         holds, becomes the first gradient itself, and any other is copied."""
         if self.grad is None:
-            self.grad = g if fresh and type(g) is np.ndarray else np.array(
-                g, dtype=self.data.dtype)
+            self.grad = g if fresh and type(g) is np.ndarray else np.array(g)
         else:
             self.grad += g
 
@@ -93,13 +87,12 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DTYPE), requires_grad=requires_grad)
+    return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
-def uniform(shape, rng: np.random.Generator, scale: float = 0.08,
-            requires_grad: bool = True) -> Tensor:
+def uniform(shape, rng: np.random.Generator, scale: float = 0.08) -> Tensor:
     """Uniform(-scale, scale) initialization for trainable matrices."""
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=requires_grad)
+    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
 
 
 # numbers interior nodes as they are made; one counter serves every graph,
@@ -156,7 +149,7 @@ def _acc_reduced(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
 
 
 def scale(a: Tensor, k: float) -> Tensor:
-    k = float(k)  # a Python float keeps a float32 operand float32
+    k = float(k)
     return _make(a.data * k, (a,), _times_ctx_backward, k)
 
 
@@ -340,8 +333,8 @@ def _masked_softmax(logits: np.ndarray, mask) -> np.ndarray:
 
 def softmax(a: Tensor, mask=None) -> Tensor:
     """Softmax over a 1D tensor; masked-out positions get probability zero."""
-    if a.data.ndim != 1:
-        raise ShapeError("softmax expects a 1D tensor")
+    if a.data.ndim != 1 or not a.data.size:
+        raise ShapeError("softmax expects a non-empty 1D tensor")
     return _make(_masked_softmax(a.data, mask), (a,), _softmax_backward)
 
 
@@ -393,7 +386,7 @@ def backward(loss: Tensor) -> None:
                 p._factors = ([], [])
                 leaves.append(p)
     try:
-        loss._accumulate(np.ones((), dtype=loss.data.dtype), True)
+        loss._accumulate(np.ones(()), True)
         for node in sorted(interior, key=attrgetter("_created"), reverse=True):
             if node.grad is not None:
                 node._backward(node, node.grad)
@@ -408,19 +401,22 @@ def backward(loss: Tensor) -> None:
 
 def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
     """Scale all grads so their global L2 norm is at most ``max_norm``. A
-    norm that is not finite raises ``NumericError`` and changes no grad."""
-    sq = 0.0
-    for p in params:
-        if p.grad is not None:
-            sq += float((p.grad * p.grad).sum())
-    norm = float(np.sqrt(sq))
+    norm that is not finite raises ``NumericError`` and changes no grad.
+    Finite grads whose squares overflow are measured again, divided by
+    their largest magnitude."""
+    grads = [p.grad for p in params if p.grad is not None]
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+    if norm == np.inf:  # an overflow, or an infinite grad
+        big = max(float(np.abs(g).max(initial=0.0)) for g in grads)
+        if big < np.inf:
+            norm = big * float(np.sqrt(sum(float(((g / big) ** 2).sum()) for g in grads)))
     if not np.isfinite(norm):
         raise NumericError(f"gradient norm is {norm}")
     if norm > max_norm > 0.0:
         k = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= k
+        for g in grads:
+            g *= k
     return norm
 
 

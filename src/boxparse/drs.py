@@ -640,7 +640,7 @@ def merge_presuppositions(d: Drs) -> Drs:
     position = {b.id: i for i, b in enumerate(d.boxes)}
     added: dict[str, tuple[list[str], list[Condition]]] = {}
     for box in d.boxes:
-        if not box.presupposed or box.id == d.top:
+        if not box.presupposed:
             continue
         if box.id in parents:
             raise AmbiguousMerge(
@@ -682,7 +682,7 @@ def merge_presuppositions(d: Drs) -> Drs:
                   for b in d.boxes if b.id in uses)  # the others merged away
     try:
         return validate(_in_text_order(Drs(boxes, d.relations, d.top)))
-    except (UnboundVariable, DataError) as e:
+    except DataError as e:
         raise AmbiguousMerge(f"merging presupposed boxes broke accessibility: {e}") from e
 
 

@@ -108,11 +108,6 @@ def rename_clause(clause: Clause, sorts: dict[str, str], mapping: dict[str, str]
     return tuple(out)
 
 
-def _count_against(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str]) -> int:
-    renamed = Counter(rename_clause(c, pred.sorts, mapping) for c in pred.clauses)
-    return sum(min(n, gold_counts[c]) for c, n in renamed.items() if c in gold_counts)
-
-
 def _clause_signature(clause: Clause, sorts: dict[str, str]) -> tuple:
     return tuple(("SYM", sorts[tok]) if tok in sorts else tok for tok in clause)
 
@@ -186,7 +181,7 @@ def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
     current = dict(mapping)
     renamed = [rename_clause(c, sorts, current) for c in clauses]
     counts = Counter(renamed)
-    score = _count_against(pred, gold_counts, current)
+    score = sum(min(n, gold_counts[c]) for c, n in counts.items())
     steps = evaluations = 0
 
     def rename_touched(touched: set[int]) -> tuple[list[tuple[int, Clause]], int]:
@@ -314,16 +309,18 @@ def categorize_clause(clause: Clause, sorts: dict[str, str],
 
 def category_breakdown(pred: ClauseSet, gold: ClauseSet, alignment: Alignment,
                        lexical_labels: frozenset[str]) -> dict[str, ScoreReport]:
-    """Per-category scores under one alignment fixed on the full clause sets."""
-    out: dict[str, ScoreReport] = {}
-    for cat in CATEGORIES:
-        pred_sub = ClauseSet(
-            clauses=tuple(c for c in pred.clauses
-                          if categorize_clause(c, pred.sorts, lexical_labels) == cat),
-            sorts=pred.sorts)
-        gold_sub = [c for c in gold.clauses
-                    if categorize_clause(c, gold.sorts, lexical_labels) == cat]
-        matched = _count_against(pred_sub, Counter(gold_sub), alignment.mapping)
-        out[cat] = ScoreReport(matched=matched, n_predicted=len(pred_sub),
-                               n_gold=len(gold_sub))
-    return out
+    """Scores per ``categorize_clause`` category under one alignment fixed on
+    the full clause sets. A predicted clause renamed under ``alignment``
+    matches an equal gold clause of its category, each gold clause once at
+    most; a sort-respecting alignment gives both one category, so the four
+    counts sum to the pair's."""
+    pred_cats = [categorize_clause(c, pred.sorts, lexical_labels) for c in pred.clauses]
+    gold_cats = [categorize_clause(c, gold.sorts, lexical_labels) for c in gold.clauses]
+    renamed = Counter(zip(pred_cats, (rename_clause(c, pred.sorts, alignment.mapping)
+                                      for c in pred.clauses)))
+    gold_counts = Counter(zip(gold_cats, gold.clauses))
+    matched = Counter()
+    for (cat, c), n in renamed.items():
+        matched[cat] += min(n, gold_counts[cat, c])
+    return {cat: ScoreReport(matched=matched[cat], n_predicted=pred_cats.count(cat),
+                             n_gold=gold_cats.count(cat)) for cat in CATEGORIES}

@@ -19,26 +19,6 @@ PRODUCTS = {
 }
 
 
-def mlp_gradcheck(**kwargs):
-    """Gradient check of a 5-4-3-2 tanh MLP with a cross-entropy loss, built
-    in the current default dtype."""
-    rng = np.random.default_rng(7)
-    params = {
-        "w1": ad.uniform((5, 4), rng), "b1": ad.zeros(4, requires_grad=True),
-        "w2": ad.uniform((4, 3), rng), "b2": ad.zeros(3, requires_grad=True),
-        "w3": ad.uniform((3, 2), rng), "b3": ad.zeros(2, requires_grad=True),
-    }
-    x = ad.tensor(rng.normal(size=5))
-
-    def loss_fn():
-        h1 = ad.tanh(ad.add(ad.matmul(x, params["w1"]), params["b1"]))
-        h2 = ad.tanh(ad.add(ad.matmul(h1, params["w2"]), params["b2"]))
-        logits = ad.add(ad.matmul(h2, params["w3"]), params["b3"])
-        return ad.softmax_cross_entropy(logits, target=1)
-
-    return check_gradients(loss_fn, params, name="mlp", **kwargs), params
-
-
 class TestForwardOps:
     def test_tanh_zero(self):
         x = ad.tensor(np.zeros(4), requires_grad=True)
@@ -95,6 +75,17 @@ class TestForwardOps:
             ad.softmax(ad.tensor(np.ones(3)), mask=[False, False, False])
         with pytest.raises(ShapeError):
             ad.backward(ad.tensor(np.ones(2)))
+
+    @pytest.mark.parametrize("data", ["a", [[1], [1, 2]]], ids=["string", "ragged"])
+    def test_data_that_is_no_float_array_raises_shape_error(self, data):
+        with pytest.raises(ShapeError):
+            ad.tensor(data)
+
+    def test_empty_softmax_raises_shape_error(self):
+        with pytest.raises(ShapeError):
+            ad.softmax(ad.tensor([]))
+        with pytest.raises(ShapeError):
+            ad.softmax_cross_entropy(ad.tensor([]), 0)
 
     def test_embedding_lookup(self):
         table = ad.tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
@@ -260,18 +251,22 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, want, rtol=1e-12)
 
     def test_mlp_matches_finite_differences(self):
-        report, _ = mlp_gradcheck()
-        assert report.passed, report.worst
+        # a 5-4-3-2 tanh MLP with a cross-entropy loss
+        rng = np.random.default_rng(7)
+        params = {
+            "w1": ad.uniform((5, 4), rng), "b1": ad.zeros(4, requires_grad=True),
+            "w2": ad.uniform((4, 3), rng), "b2": ad.zeros(3, requires_grad=True),
+            "w3": ad.uniform((3, 2), rng), "b3": ad.zeros(2, requires_grad=True),
+        }
+        x = ad.tensor(rng.normal(size=5))
 
-    def test_mlp_matches_finite_differences_in_float32(self):
-        # float32 rounding swamps central differences at small h: the
-        # error is ~2e-3 at h=1e-2 but ~2e-1 at the default h=1e-4
-        ad.set_dtype(np.float32)
-        try:
-            report, params = mlp_gradcheck(h=1e-2, tolerance=1e-2)
-        finally:
-            ad.set_dtype(np.float64)
-        assert all(p.data.dtype == np.float32 for p in params.values())
+        def loss_fn():
+            h1 = ad.tanh(ad.add(ad.matmul(x, params["w1"]), params["b1"]))
+            h2 = ad.tanh(ad.add(ad.matmul(h1, params["w2"]), params["b2"]))
+            logits = ad.add(ad.matmul(h2, params["w3"]), params["b3"])
+            return ad.softmax_cross_entropy(logits, target=1)
+
+        report = check_gradients(loss_fn, params, name="mlp")
         assert report.passed, report.worst
 
     def test_attention_like_graph_gradcheck(self):
@@ -451,41 +446,28 @@ class TestDeterminism:
         assert l1 == l2
         assert np.array_equal(g1, g2)
 
-    def test_dtype_switch(self):
-        try:
-            ad.set_dtype(np.float32)
-            t = ad.zeros(3)
-            assert t.data.dtype == np.float32
-        finally:
-            ad.set_dtype(np.float64)
-        assert ad.zeros(3).data.dtype == np.float64
-
-    def test_every_op_and_gradient_stays_float32(self):
-        ad.set_dtype(np.float32)
-        try:
-            rng = np.random.default_rng(43)
-            w = ad.uniform((3, 4), rng)
-            table = ad.uniform((5, 4), rng)
-            x, s = ad.uniform((4,), rng), ad.uniform((), rng)
-            row = ad.embedding_lookup(table, 2)
-            outs = [row, ad.add(x, row), ad.add(ad.tensor(np.ones((2, 4))), x), ad.add(x, s),
-                    ad.scale(x, np.float64(0.5)), ad.mul(x, row), ad.mul(s, x),
-                    ad.matmul(w, x), ad.matmul(ad.matmul(w, x), w),
-                    ad.matmul(w, ad.tensor(np.ones((4, 2)))), ad.tanh(x), ad.tanh(s),
-                    ad.concat([s, x]), ad.sum_over([x, row]), ad.softmax(x, mask=[1, 0, 1, 1])]
-            scalars = [ad.dot(x, row), ad.reduce_sum(w), ad.softmax_cross_entropy(x, 1)]
-            for t in scalars:
-                assert type(t.data) is np.ndarray and t.data.shape == ()
-            loss = ad.sum_over(scalars + [ad.reduce_sum(t) for t in outs])
-            ad.backward(loss)
-            for t in graph_tensors(loss):
-                assert t.data.dtype == np.float32
-                if t.grad is not None:
-                    assert t.grad.dtype == np.float32
-                    assert t.grad.shape == t.data.shape
-            assert all(t.grad is not None for t in outs + scalars + [w, table, x, s])
-        finally:
-            ad.set_dtype(np.float64)
+    def test_every_op_and_gradient_is_float64(self):
+        rng = np.random.default_rng(43)
+        w = ad.uniform((3, 4), rng)
+        table = ad.uniform((5, 4), rng)
+        x, s = ad.uniform((4,), rng), ad.uniform((), rng)
+        row = ad.embedding_lookup(table, 2)
+        outs = [row, ad.add(x, row), ad.add(ad.tensor(np.ones((2, 4))), x), ad.add(x, s),
+                ad.scale(x, np.float32(0.5)), ad.mul(x, row), ad.mul(s, x),
+                ad.matmul(w, x), ad.matmul(ad.matmul(w, x), w),
+                ad.matmul(w, ad.tensor(np.ones((4, 2)))), ad.tanh(x), ad.tanh(s),
+                ad.concat([s, x]), ad.sum_over([x, row]), ad.softmax(x, mask=[1, 0, 1, 1])]
+        scalars = [ad.dot(x, row), ad.reduce_sum(w), ad.softmax_cross_entropy(x, 1)]
+        for t in scalars:
+            assert type(t.data) is np.ndarray and t.data.shape == ()
+        loss = ad.sum_over(scalars + [ad.reduce_sum(t) for t in outs])
+        ad.backward(loss)
+        for t in graph_tensors(loss):
+            assert t.data.dtype == np.float64
+            if t.grad is not None:
+                assert t.grad.dtype == np.float64
+                assert t.grad.shape == t.data.shape
+        assert all(t.grad is not None for t in outs + scalars + [w, table, x, s])
 
 
 class TestGraphObjects:
@@ -573,6 +555,12 @@ class TestAdam:
         norm = ad.clip_grad_norm([w], 1.0)
         assert norm == pytest.approx(5.0)
         assert np.linalg.norm(w.grad) == pytest.approx(1.0)
+
+    def test_clip_grad_norm_of_a_gradient_whose_square_overflows(self):
+        w = ad.tensor(np.zeros(2), requires_grad=True)
+        w.grad = np.array([1e200, 0.0])
+        assert ad.clip_grad_norm([w], 2.0) == 1e200
+        np.testing.assert_array_equal(w.grad, [2.0, 0.0])
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
     def test_clip_grad_norm_of_a_non_finite_gradient_raises(self, bad):

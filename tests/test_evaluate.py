@@ -16,6 +16,7 @@ from boxparse.evaluate import (
     Alignment,
     ClauseSet,
     best_alignment,
+    categorize_clause,
     category_breakdown,
     micro_average,
     score,
@@ -28,6 +29,30 @@ FIG1_LEXICAL = frozenset({"sit_down", "open", "laptop"})
 def renamed_copy(d):
     """Same structure, fresh variable and box names."""
     return canonicalize_variables(d)
+
+
+def scored_pair(seed):
+    """A predicted and a gold clause set. Mostly the prediction is a renamed
+    copy of gold with some symbol uses moved to another symbol of their sort,
+    whose conflicting evidence makes the climb undo matches and redo them;
+    otherwise it is an independent DRS."""
+    rng = np.random.default_rng(seed)
+    gold_drs = random_drs(rng, max_boxes=6, max_conditions=20)
+    if rng.random() < 0.25:
+        pred = to_clauses(random_drs(rng, max_boxes=6, max_conditions=20))
+    else:
+        copy = to_clauses(renamed_copy(gold_drs))
+        peers = {s: [t for t in sorted(copy.sorts) if copy.sorts[t] == sort]
+                 for s, sort in copy.sorts.items()}
+
+        def moved(tok):
+            if tok in peers and rng.random() < 0.3:
+                return peers[tok][int(rng.integers(len(peers[tok])))]
+            return tok
+
+        pred = ClauseSet(clauses=tuple(tuple(moved(t) for t in c) for c in copy.clauses),
+                         sorts=copy.sorts)
+    return pred, to_clauses(gold_drs)
 
 
 class TestToClauses:
@@ -99,26 +124,8 @@ class TestBestAlignment:
     @settings(max_examples=60, deadline=None)
     def test_count_is_the_count_of_its_mapping(self, seed):
         # The climb keeps its count by deltas; a recount of the returned
-        # mapping must agree. Mostly the prediction is a renamed copy of gold
-        # with some symbol uses moved to another symbol of their sort, whose
-        # conflicting evidence makes the climb undo matches and redo them.
-        rng = np.random.default_rng(seed)
-        gold_drs = random_drs(rng, max_boxes=6, max_conditions=20)
-        if rng.random() < 0.25:
-            pred = to_clauses(random_drs(rng, max_boxes=6, max_conditions=20))
-        else:
-            copy = to_clauses(renamed_copy(gold_drs))
-            peers = {s: [t for t in sorted(copy.sorts) if copy.sorts[t] == sort]
-                     for s, sort in copy.sorts.items()}
-
-            def moved(tok):
-                if tok in peers and rng.random() < 0.3:
-                    return peers[tok][int(rng.integers(len(peers[tok])))]
-                return tok
-
-            pred = ClauseSet(clauses=tuple(tuple(moved(t) for t in c) for c in copy.clauses),
-                             sorts=copy.sorts)
-        gold = to_clauses(gold_drs)
+        # mapping must agree.
+        pred, gold = scored_pair(seed)
         alignment, matched = best_alignment(pred, gold)
         assert matched == oracle_match_count(pred.clauses, pred.sorts, gold.clauses,
                                              alignment.mapping)
@@ -234,6 +241,23 @@ class TestCategoryBreakdown:
         assert cats["operators"].recall == 0.0
         assert cats["non_lexical_binary"].f1 == 1.0
         assert cats["lexical"].f1 == 1.0
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_each_category_counts_its_matches_under_the_mapping(self, seed):
+        pred, gold = scored_pair(seed)
+        lexical = frozenset({"dog", "run", "see", "book"})
+        alignment, matched = best_alignment(pred, gold)
+        cats = category_breakdown(pred, gold, alignment, lexical)
+        for cat, rep in cats.items():
+            pred_sub = [c for c in pred.clauses
+                        if categorize_clause(c, pred.sorts, lexical) == cat]
+            gold_sub = [c for c in gold.clauses
+                        if categorize_clause(c, gold.sorts, lexical) == cat]
+            assert (rep.n_predicted, rep.n_gold) == (len(pred_sub), len(gold_sub))
+            assert rep.matched == oracle_match_count(pred_sub, pred.sorts, gold_sub,
+                                                     alignment.mapping)
+        assert sum(rep.matched for rep in cats.values()) == matched
 
     def test_logic_operator_counts_as_operator(self):
         gold = parse_clauses("b1 REF e1\nb1 run e1\nb1 NOT b2\nb2 REF e2\nb2 sleep e2\n")
