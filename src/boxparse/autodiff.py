@@ -27,8 +27,9 @@ it computes fresh, and copies one it passes on unchanged (``add`` and
 So scaling one tensor's gradient in place, as ``clip_grad_norm`` does,
 leaves every other gradient as it was.
 
-Every tensor is float64. Data that numpy cannot turn into a float array
-raises ``ShapeError``. An operand that is not a ``Tensor`` raises
+Every tensor is float64. Data that numpy cannot turn into a float array,
+None (which numpy would read as NaN) and a shape that numpy rejects raise
+``ShapeError``. An operand that is not a ``Tensor`` raises
 ``AttributeError``: that is a caller's bug, not bad data, and the ops do not
 test for it.
 """
@@ -52,6 +53,8 @@ class Tensor:
                  "_created", "_factors")
 
     def __init__(self, data, requires_grad: bool = False):
+        if data is None:  # numpy would read it as NaN
+            raise ShapeError("not a float array: None")
         try:
             self.data = np.asarray(data, dtype=np.float64)
         except (TypeError, ValueError) as e:
@@ -87,12 +90,20 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
+    return Tensor(_sized(np.zeros, shape), requires_grad=requires_grad)
 
 
 def uniform(shape, rng: np.random.Generator, scale: float = 0.08) -> Tensor:
     """Uniform(-scale, scale) initialization for trainable matrices."""
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
+    return Tensor(_sized(rng.uniform, shape, -scale, scale), requires_grad=True)
+
+
+def _sized(make, shape, *args) -> np.ndarray:
+    """``make(*args, shape)``; a shape that numpy rejects raises ShapeError."""
+    try:
+        return make(*args, shape)
+    except (TypeError, ValueError) as e:
+        raise ShapeError(f"bad shape {shape!r}: {e}") from None
 
 
 # numbers interior nodes as they are made; one counter serves every graph,
@@ -420,23 +431,24 @@ def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
     return norm
 
 
+ADAM_BETAS = (0.9, 0.999)  # decay rates of Adam's first and second moment estimates
+ADAM_EPS = 1e-8  # added to the root of Adam's second moment before dividing
+
+
 class Adam:
     """Adam over one parameter list: first/second moment estimates and a step
-    counter. ``step`` updates in place and skips tensors with
-    requires_grad=False."""
+    counter, with ``ADAM_BETAS`` and ``ADAM_EPS``. ``step`` updates in place
+    and skips tensors with requires_grad=False."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
 
     def step(self) -> None:
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         self.t += 1
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
@@ -449,7 +461,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -227,19 +227,6 @@ def parent_map(d: Drs) -> dict[str, str]:
     return parents
 
 
-def _ancestor_chain(box_id: str, parents: dict[str, str]) -> list[str]:
-    chain = [box_id]
-    seen = {box_id}
-    cur = box_id
-    while cur in parents:
-        cur = parents[cur]
-        if cur in seen:
-            raise CyclicStructure(f"box {cur} is its own ancestor")
-        seen.add(cur)
-        chain.append(cur)
-    return chain
-
-
 def _argument_fault(c: Unary | Binary, arg: str) -> str | None:
     """Why ``arg`` cannot be an argument of ``c``, or None: an argument is a
     variable or a quoted constant, and a unary predicate takes a variable."""
@@ -421,7 +408,11 @@ def _check(d: Drs) -> None:
         rest = [b for b in d.boxes if b.id not in visited]
         if not any(b.id == d.top or b.presupposed for b in rest):
             raise DataError(f"boxes unreachable from top: {sorted(b.id for b in rest)}")
-        _ancestor_chain(rest[0].id, parents)  # raises CyclicStructure
+        box_id, seen = rest[0].id, set()
+        while box_id not in seen:  # up from rest[0] until a box comes round again
+            seen.add(box_id)
+            box_id = parents[box_id]
+        raise CyclicStructure(f"box {box_id} is its own ancestor")
     if _in_text_order(d) is not d:
         raise DataError("boxes not in clause-text order: those that host a line, "
                         "then the others by first mention")
@@ -616,70 +607,64 @@ def format_clauses(doc: ClauseDocument | Drs) -> str:
 def merge_presuppositions(d: Drs) -> Drs:
     """Dissolve presupposed boxes into the box that consumes their variables.
 
-    A presupposed box with exactly one consumer (or whose consumers form an
-    ancestor chain) merges into the consumer nearest the top; one that is
-    structurally referenced or consumed by unrelated boxes raises
-    AmbiguousMerge. Presupposed boxes merge in document order, and a
-    target's referents and conditions are extended in that order.
-    Idempotent: a DRS with no presupposed boxes is returned as-is. An
-    invalid ``d`` raises what ``validate`` raises.
+    Presupposed boxes merge in document order. The consumers of a
+    presupposed box P are the boxes whose conditions use a referent of P or
+    of a box already merged into P, except P and the boxes nested in it,
+    which move with it. P merges into the consumer that holds all the
+    others, or into the top box if it has no consumer. Consumers of which
+    none holds all the others, an operator or relation that references P,
+    and an unconsumed P that holds the top box raise AmbiguousMerge. A
+    target's referents and conditions are extended in merge order, each
+    merged box's own before those merged into it. Idempotent: a DRS with no
+    presupposed boxes is returned as-is. An invalid ``d`` raises what
+    ``validate`` raises.
     """
     validate(d)
     if not any(b.presupposed for b in d.boxes):
         return d
     parents = parent_map(d)
     home = {v: b.id for b in d.boxes for v in b.referents}
-    # box id -> boxes declaring the variables its conditions use; a constant
-    # gives None, which no box id equals
-    uses = {b.id: {home.get(arg) for c in b.conditions if not isinstance(c, Operator)
-                   for arg in c.args} for b in d.boxes}
-    users: dict[str | None, set[str]] = {}  # the inverse of uses, kept in step
-    for x, used in uses.items():
+    # box -> the boxes whose conditions use its referents, as the input has them
+    users: dict[str | None, set[str]] = {}
+    for b in d.boxes:  # a constant's home is None, which no box id equals
+        used = {home.get(a) for c in b.conditions if not isinstance(c, Operator) for a in c.args}
         for y in used:
-            users.setdefault(y, set()).add(x)
-    position = {b.id: i for i, b in enumerate(d.boxes)}
-    added: dict[str, tuple[list[str], list[Condition]]] = {}
-    for box in d.boxes:
-        if not box.presupposed:
-            continue
-        if box.id in parents:
+            users.setdefault(y, set()).add(b.id)
+    into: dict[str, str] = {}  # merged box -> the box it merged into
+    taken: dict[str, list[str]] = {}  # box -> all boxes merged into it, in output order
+
+    def alive(x: str) -> str:
+        while x in into:
+            x = into[x]
+        return x
+
+    def chain(x: str) -> list[str]:  # x and the boxes that hold it, innermost first
+        line = [x]
+        while x in parents:
+            x = alive(parents[x])
+            line.append(x)
+        return line
+
+    for p in [b.id for b in d.boxes if b.presupposed]:
+        if p in parents:
+            raise AmbiguousMerge(f"presupposed box {p} is referenced by an operator or relation")
+        group = [p, *taken.pop(p, ())]
+        consumers = {alive(x) for y in group for x in users.get(y, ())}
+        # consumers nested in p move with it; with none left, the top stands in
+        chains = [c for c in map(chain, consumers) if p not in c] or [chain(d.top)]
+        if p in chains[0]:
+            raise AmbiguousMerge(f"presupposed box {p} holds the top box {d.top}")
+        target = min(chains, key=len)[0]  # one that holds all others has the shortest chain
+        if not all(target in c for c in chains):
             raise AmbiguousMerge(
-                f"presupposed box {box.id} is referenced by an operator or relation")
-        consumers = sorted(users.get(box.id, set()) - {box.id}, key=position.__getitem__)
-        if not consumers:
-            target = d.top
-        elif len(consumers) == 1:
-            target = consumers[0]
-        else:
-            chains = {c: set(_ancestor_chain(c, parents)) for c in consumers}
-            target = None
-            for c in consumers:
-                if all(c in chains[other] for other in consumers):
-                    target = c  # ancestor of every other consumer
-            if target is None:
-                raise AmbiguousMerge(
-                    f"presupposed box {box.id} consumed by unrelated boxes {sorted(consumers)}")
-        referents, conditions = added.pop(box.id, ((), ()))
-        referents = [*box.referents, *referents]
-        conditions = [*box.conditions, *conditions]
-        into_referents, into_conditions = added.setdefault(target, ([], []))
-        into_referents += referents
-        into_conditions += conditions
-        for c in conditions:
-            if isinstance(c, Operator):
-                for child in c.boxes:
-                    parents[child] = target
-        moved = uses.pop(box.id)
-        uses[target] |= moved
-        for y in moved:
-            users[y].discard(box.id)
-            users[y].add(target)
-        for x in consumers:
-            uses[x].add(target)  # the box's referents now live in target
-        users.setdefault(target, set()).update(consumers)
-    boxes = tuple(b if b.id not in added else Box(b.id, b.referents + tuple(added[b.id][0]),
-                                                  b.conditions + tuple(added[b.id][1]))
-                  for b in d.boxes if b.id in uses)  # the others merged away
+                f"presupposed box {p} consumed by unrelated boxes {sorted(c[0] for c in chains)}")
+        into[p] = target
+        taken.setdefault(target, []).extend(group)
+    known = d._by_id
+    boxes = tuple(b if b.id not in taken else Box(
+        b.id, sum((known[x].referents for x in taken[b.id]), b.referents),
+        sum((known[x].conditions for x in taken[b.id]), b.conditions))
+        for b in d.boxes if b.id not in into)
     try:
         return validate(_in_text_order(Drs(boxes, d.relations, d.top)))
     except DataError as e:

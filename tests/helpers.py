@@ -146,6 +146,45 @@ def random_drs(rng: np.random.Generator, max_boxes: int = 4,
     return parse_clauses(format_clauses(validate(_in_text_order(d))))
 
 
+def random_presupposed_drs(rng: np.random.Generator, max_presupposed: int = 3) -> Drs:
+    """Random valid DRS with presupposed boxes: a ``random_drs`` whose REF
+    lines for some referents move into boxes p1, p2, ..., each of which also
+    gets a unary predicate of its referent. Sometimes a presupposed box uses
+    an earlier one's referent, and sometimes it holds a NOT box that uses
+    its own. The clause blocks come in shuffled order."""
+    from boxparse.drs import box_clauses, parse_clauses
+
+    d = random_drs(rng)
+    blocks = {b.id: [" ".join(c) for c in box_clauses(b)] for b in d.boxes}
+    blocks[d.top][:0] = [f"{d.top} {label} {a} {b}" for label, a, b in d.relations]
+    n_boxes = len(d.boxes)
+    moved: list[str] = []
+    for i in range(1, int(rng.integers(1, max_presupposed + 1)) + 1):
+        refs = [(box, line) for box, lines in blocks.items() if len(lines) > 1
+                for line in lines if line.split()[1] == "REF"]
+        if not refs:
+            break
+        box, line = refs[int(rng.integers(len(refs)))]
+        blocks[box].remove(line)
+        p, v = f"p{i}", line.split()[2]
+        blocks[p] = [f"{p} REF {v}", f"{p} {_pick(rng, UNARY_POOL)} {v}"]
+        if moved and rng.random() < 0.3:
+            blocks[p].append(f"{p} {_pick(rng, ROLE_POOL)} {v} {_pick(rng, moved)}")
+        if rng.random() < 0.3:
+            n_boxes += 1
+            b = f"b{n_boxes}"
+            blocks[p].append(f"{p} NOT {b}")
+            blocks[b] = [f"{b} {_pick(rng, UNARY_POOL)} {v}"]
+        moved.append(v)
+    order = list(blocks.values())
+    rng.shuffle(order)
+    return parse_clauses("".join(f"{line}\n" for lines in order for line in lines))
+
+
+def _pick(rng: np.random.Generator, pool: list[str]) -> str:
+    return pool[int(rng.integers(len(pool)))]
+
+
 def small_drs_for_alignment(rng: np.random.Generator) -> Drs:
     """Valid DRS with at most 6 alignable symbols (variables + boxes)."""
     while True:

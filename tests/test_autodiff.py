@@ -76,10 +76,19 @@ class TestForwardOps:
         with pytest.raises(ShapeError):
             ad.backward(ad.tensor(np.ones(2)))
 
-    @pytest.mark.parametrize("data", ["a", [[1], [1, 2]]], ids=["string", "ragged"])
+    @pytest.mark.parametrize("data", ["a", [[1], [1, 2]], None], ids=["string", "ragged", "none"])
     def test_data_that_is_no_float_array_raises_shape_error(self, data):
         with pytest.raises(ShapeError):
             ad.tensor(data)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ad.zeros(-1), lambda: ad.zeros("a"),
+        lambda: ad.uniform((-1,), np.random.default_rng(0)),
+        lambda: ad.uniform((2.5,), np.random.default_rng(0)),
+    ], ids=["zeros_negative", "zeros_string", "uniform_negative", "uniform_float"])
+    def test_shape_that_is_no_tuple_of_sizes_raises_shape_error(self, make):
+        with pytest.raises(ShapeError):
+            make()
 
     def test_empty_softmax_raises_shape_error(self):
         with pytest.raises(ShapeError):
@@ -536,17 +545,17 @@ class TestAdam:
     def test_step_matches_the_textbook_update_bit_for_bit(self):
         rng = np.random.default_rng(9)
         w = ad.tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        opt = ad.Adam([w], lr=0.01, betas=(0.8, 0.95), eps=1e-6)
+        opt = ad.Adam([w], lr=0.01)
         data, m, v = w.data.copy(), np.zeros((5, 3)), np.zeros((5, 3))
         for t in range(1, 6):
             g = rng.normal(size=(5, 3))
             w.grad = g.copy()
             opt.step()
-            m = 0.8 * m + (1 - 0.8) * g
-            v = 0.95 * v + (1 - 0.95) * (g * g)
-            m_hat = m / (1 - 0.8 ** t)
-            v_hat = v / (1 - 0.95 ** t)
-            data = data - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-6)
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * (g * g)
+            m_hat = m / (1 - 0.9 ** t)
+            v_hat = v / (1 - 0.999 ** t)
+            data = data - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
             assert np.array_equal(w.data, data)
 
     def test_clip_grad_norm(self):

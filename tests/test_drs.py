@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FIG1_CLAUSES, FIG1_LEMMAS, FIG1_TOKENS, random_draft, random_drs
+from helpers import (
+    FIG1_CLAUSES,
+    FIG1_LEMMAS,
+    FIG1_TOKENS,
+    random_draft,
+    random_drs,
+    random_presupposed_drs,
+)
 
 from boxparse import drs as drs_module
 from boxparse.drs import (
@@ -248,6 +256,19 @@ p1 Owner x1 "speaker"
 """
 
 
+NEGATED_RELATIVE = """\
+b1 REF e1
+b1 leave.v.01 e1
+b1 Agent e1 x1
+p1 REF x1
+p1 man.n.01 x1
+p1 NOT b2
+b2 REF e2
+b2 sleep.v.01 e2
+b2 Agent e2 x1
+"""
+
+
 class TestMergePresuppositions:
     def test_no_presuppositions_is_identity(self, fig1_drs):
         assert merge_presuppositions(fig1_drs) is fig1_drs
@@ -311,6 +332,58 @@ class TestMergePresuppositions:
         bad = Drs(d.boxes, (("CONTINUATION", "b2"),), d.top)
         with pytest.raises(DataError, match="not a .label, box, box. triple"):
             merge_presuppositions(bad)
+
+    def test_box_nested_in_a_presupposed_box_moves_with_it(self):
+        # "the man who didn't sleep left": b2 uses x1 from inside p1, so only
+        # b1 consumes p1
+        merged = merge_presuppositions(parse_clauses(NEGATED_RELATIVE))
+        assert format_clauses(merged) == (
+            "b1 REF e1\nb1 REF x1\nb1 leave.v.01 e1\nb1 Agent e1 x1\n"
+            "b1 man.n.01 x1\nb1 NOT b2\n"
+            "b2 REF e2\nb2 sleep.v.01 e2\nb2 Agent e2 x1\n")
+
+    def test_box_that_moved_counts_where_it_went(self):
+        # p1's only user is b2, nested in it, so p1 merges into the top; b2
+        # then lies under b1, which holds both consumers of p2
+        text = NEGATED_RELATIVE.replace("b1 Agent e1 x1\n", "b1 Theme e1 x2\n") + (
+            "b2 Location e2 x2\np2 REF x2\np2 city.n.01 x2\n")
+        merged = merge_presuppositions(parse_clauses(text))
+        assert [b.id for b in merged.boxes] == ["b1", "b2"]
+        assert merged.box("b1").referents == ("e1", "x1", "x2")
+        assert merged.box("b1").conditions[-3:] == (
+            Unary("man.n.01", "x1"), Operator("NOT", ("b2",)), Unary("city.n.01", "x2"))
+
+    def test_chained_merge_order(self):
+        # p1 is used only by p2, and p2 only by b1: p1 merges into p2 first,
+        # and both land in b1, each box's own clauses before those merged into it
+        text = ("b1 REF e1\nb1 leave.v.01 e1\nb1 Agent e1 x2\n"
+                "p1 REF x1\np1 city.n.01 x1\n"
+                "p2 REF x2\np2 man.n.01 x2\np2 Location x2 x1\n")
+        merged = merge_presuppositions(parse_clauses(text))
+        assert merged.boxes == (Box("b1", ("e1", "x2", "x1"), (
+            Unary("leave.v.01", "e1"), Binary("Agent", "e1", "x2"), Unary("man.n.01", "x2"),
+            Binary("Location", "x2", "x1"), Unary("city.n.01", "x1"))),)
+
+    def test_unconsumed_box_that_holds_the_top_raises(self):
+        # merged into the top, p1 would make b1 its own ancestor before p2,
+        # which b1 consumes, is placed
+        text ="b1 REF x1\nb1 dog.n.01 x1\nb1 Owner x1 x2\np1 NOT b1\np2 REF x2\np2 man.n.01 x2\n"
+        with pytest.raises(AmbiguousMerge, match="p1 holds the top box b1"):
+            merge_presuppositions(parse_clauses(text))
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=300, deadline=None)
+    def test_merge_keeps_every_clause_or_raises_ambiguous_merge(self, seed):
+        d = random_presupposed_drs(np.random.default_rng(seed))
+        try:
+            merged = merge_presuppositions(d)
+        except AmbiguousMerge:
+            return
+        assert validate(merged) is merged
+        assert not any(b.presupposed for b in merged.boxes)
+        for field in ("referents", "conditions"):
+            assert (Counter(x for b in merged.boxes for x in getattr(b, field))
+                    == Counter(x for b in d.boxes for x in getattr(b, field)))
 
 
 class TestStripSenses:
