@@ -27,11 +27,13 @@ it computes fresh, and copies one it passes on unchanged (``add`` and
 So scaling one tensor's gradient in place, as ``clip_grad_norm`` does,
 leaves every other gradient as it was.
 
-Every tensor is float64. Data that numpy cannot turn into a float array,
-None (which numpy would read as NaN) and a shape that numpy rejects raise
-``ShapeError``. An operand that is not a ``Tensor`` raises
-``AttributeError``: that is a caller's bug, not bad data, and the ops do not
-test for it.
+Every tensor is float64. Data that numpy cannot turn into a float array or
+reads as an object array (None, which a float array would hold as NaN, say)
+and a shape that numpy rejects raise ``ShapeError``. A scale that ``uniform``
+cannot draw from, logits whose largest is NaN or infinite, and a loss that
+is not finite raise ``NumericError``. An operand that is not a ``Tensor``
+raises ``AttributeError``: that is a caller's bug, not bad data, and the ops
+do not test for it.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ class Tensor:
                  "_created", "_factors")
 
     def __init__(self, data, requires_grad: bool = False):
-        if data is None:  # numpy would read it as NaN
-            raise ShapeError("not a float array: None")
         try:
+            if np.asarray(data).dtype == object:  # a float array would hold None as NaN
+                raise TypeError(f"numpy reads the {type(data).__name__} as an object array")
             self.data = np.asarray(data, dtype=np.float64)
         except (TypeError, ValueError) as e:
             raise ShapeError(f"not a float array: {e}") from None
@@ -95,7 +97,11 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
 
 def uniform(shape, rng: np.random.Generator, scale: float = 0.08) -> Tensor:
     """Uniform(-scale, scale) initialization for trainable matrices."""
-    return Tensor(_sized(rng.uniform, shape, -scale, scale), requires_grad=True)
+    try:
+        return Tensor(_sized(rng.uniform, shape, -scale, scale), requires_grad=True)
+    except OverflowError as e:  # a range that is NaN or not finite
+        raise NumericError(f"cannot draw from Uniform(-scale, scale), scale={scale}: {e}") \
+            from None
 
 
 def _sized(make, shape, *args) -> np.ndarray:
@@ -336,7 +342,10 @@ def _masked_softmax(logits: np.ndarray, mask) -> np.ndarray:
         if not mask.any():
             raise ShapeError("softmax with all positions masked")
         z = np.where(mask, z, -np.inf)
-    e = z - z.max()  # a new array, so the steps below may work in place
+    top = z.max()
+    if not np.isfinite(top):  # a NaN or +inf logit, or all -inf
+        raise NumericError(f"softmax of logits whose largest is {top}")
+    e = z - top  # a new array, so the steps below may work in place
     np.exp(e, out=e)
     e /= e.sum()
     return e
@@ -377,10 +386,13 @@ def backward(loss: Tensor) -> None:
     resets their grads first, so it propagates its own loss only; leaves
     accumulate across calls, and a leaf used several times gets the sum.
     A leaf's rank-1 terms from matrix-vector products are added as one
-    matrix product when the walk ends, and never outlive the call.
+    matrix product when the walk ends, and never outlive the call. A loss
+    that is not finite raises ``NumericError`` before any grad is written.
     """
     if loss.data.ndim != 0:
         raise ShapeError("backward requires a scalar loss")
+    if not np.isfinite(loss.data):
+        raise NumericError(f"loss is {loss.data}")
     stack = [loss] if loss._parents else []
     # in the order the walk finds them, nearly newest first: a cheap sort
     interior = dict.fromkeys(stack)

@@ -4,7 +4,9 @@ A DRS is a nested box structure: each box declares typed referents
 (x entity, e event, t time, s state) and holds unary predicate, binary
 role, and box-operator conditions. Boxes are linked either by embedding
 under an operator (NOT, POS, NEC, IMP, DIS, DUP) or by labelled discourse
-relations hosted at the top box.
+relations hosted at the top box. A box whose id starts with 'p' is
+presupposed. The top is the one plain box that nothing embeds: the roots
+of the nesting are exactly the top and the presupposed boxes.
 
 Clause file format (UTF-8, LF, one clause per line, whitespace separated):
 
@@ -154,29 +156,59 @@ class Box:
     id: str
     referents: tuple[str, ...] = ()
     conditions: tuple[Condition, ...] = ()
-    presupposed: bool = False
 
     def __init__(self, id: str, referents: tuple[str, ...] = (),
-                 conditions: tuple[Condition, ...] = (), presupposed: bool = False):
+                 conditions: tuple[Condition, ...] = ()):
         _set_id(self, id)
         _set_referents(self, referents)
         _set_conditions(self, conditions)
-        _set_presupposed(self, presupposed)
+
+    @property
+    def presupposed(self) -> bool:
+        return self.id.startswith("p")
 
 
 _set_predicate, _set_argument = Unary.predicate.__set__, Unary.argument.__set__
 _set_role, _set_first = Binary.role.__set__, Binary.first.__set__
 _set_second = Binary.second.__set__
 _set_op, _set_boxes = Operator.op.__set__, Operator.boxes.__set__
-_set_id, _set_referents = Box.id.__set__, Box.referents.__set__
-_set_conditions, _set_presupposed = Box.conditions.__set__, Box.presupposed.__set__
+_set_id, _set_referents, _set_conditions = (
+    Box.id.__set__, Box.referents.__set__, Box.conditions.__set__)
 
 
 @dataclass(frozen=True)
 class Drs:
     boxes: tuple[Box, ...]
     relations: tuple[tuple[str, str, str], ...] = ()
-    top: str = "b1"
+
+    @property
+    def top(self) -> str | None:
+        """The first box that is neither presupposed nor embedded, if any."""
+        return self._nesting[0]
+
+    @cached_property
+    def _nesting(self) -> tuple[str | None, dict[str, str]]:
+        """The top and each embedded box's parent: the box whose operator
+        embeds it, or the top for a relation constituent. Operator embedding
+        is exclusive; a constituent may appear in several relations."""
+        parents: dict[str, str] = {}
+        for b in self.boxes:
+            for c in b.conditions:
+                if not isinstance(c, Operator):
+                    continue
+                for child in c.boxes:
+                    if child in parents:
+                        raise DataError(f"box {child} embedded under several operators")
+                    parents[child] = b.id
+        constituents = dict.fromkeys(x for _label, a, bb in self.relations for x in (a, bb))
+        for child in constituents:
+            if child in parents:
+                raise DataError(
+                    f"box {child} is both operator-embedded and a relation constituent")
+        top = next((b.id for b in self.boxes if not b.presupposed and b.id not in parents
+                    and b.id not in constituents), None)
+        parents.update(dict.fromkeys(constituents, top))
+        return top, parents
 
     @cached_property
     def _by_id(self) -> dict[str, Box]:
@@ -198,33 +230,6 @@ class Drs:
             # it as a str or reads its attributes, at no cost to valid input
             raise DataError(f"a field of the wrong type: {e}") from e
         return True
-
-
-def parent_map(d: Drs) -> dict[str, str]:
-    """Box-nesting parents: operator children and relation constituents.
-
-    Each box has at most one structural parent (operator embedding is
-    exclusive; relation constituents hang off the top box and may appear
-    in several relations). Presupposed boxes are roots of their own until
-    merged.
-    """
-    operator_embedded: dict[str, str] = {}
-    for b in d.boxes:
-        for c in b.conditions:
-            if not isinstance(c, Operator):
-                continue
-            for child in c.boxes:
-                if child in operator_embedded:
-                    raise DataError(f"box {child} embedded under several operators")
-                operator_embedded[child] = b.id
-    parents = dict(operator_embedded)
-    for _label, a, bb in d.relations:
-        for child in (a, bb):
-            if child in operator_embedded:
-                raise DataError(
-                    f"box {child} is both operator-embedded and a relation constituent")
-            parents[child] = d.top
-    return parents
 
 
 def _argument_fault(c: Unary | Binary, arg: str) -> str | None:
@@ -255,7 +260,7 @@ def _in_text_order(d: Drs) -> Drs:
     first = dict(zip(reversed(tokens), range(len(tokens) - 1, -1, -1)))  # token -> position
     boxes = tuple(sorted(d.boxes, key=lambda b: -1 if _hosts_line(d, b)
                          else first.get(b.id, len(tokens))))
-    return d if boxes == d.boxes else Drs(boxes, d.relations, d.top)
+    return d if boxes == d.boxes else Drs(boxes, d.relations)
 
 
 def _hosts_line(d: Drs, b: Box) -> bool:
@@ -269,20 +274,22 @@ def validate(d: Drs) -> Drs:
     declares it is open at B or is presupposed (presuppositions project
     globally until merged). The open boxes at B are B and its nesting
     ancestors, plus the antecedent of every IMP/DUP whose consequent is
-    among them; boxes nested inside an antecedent stay private. Every box
-    must descend from the top or a presupposed box, and nesting is acyclic.
+    among them; boxes nested inside an antecedent stay private. Root rule:
+    the roots of the nesting are exactly the top and the presupposed boxes,
+    so a DRS whose every plain box is embedded has no top, no operator or
+    relation embeds a presupposed box, and every other box descends from
+    one root. Nesting is acyclic.
 
     A valid DRS reads back equal from its clause text. So its boxes come in
     the text's order, as the parser, ``merge_presuppositions`` and
     ``from_tree`` give them: those that host a line, then the others by
     first mention. Predicate and role labels are single tokens spelled like
     no symbol or keyword, with or without a sense suffix; relation labels
-    are keywords other than REF and the operators; the top box is not
-    presupposed; and every box hosts a clause or is named by one. A relation
-    is a (label, box, box) triple and a condition a Unary, Binary or
-    Operator; every sequence is a tuple and every label, symbol and id a
-    str, as the parser gives them; any other shape or type raises
-    ``DataError``.
+    are keywords other than REF and the operators; and every box hosts a
+    clause or is named by one. A relation is a (label, box, box) triple and
+    a condition a Unary, Binary or Operator; every sequence is a tuple and
+    every label, symbol and id a str, as the parser gives them; any other
+    shape or type raises ``DataError``.
 
     A Drs that passed is remembered, so checking it again costs nothing. A
     failure is not remembered: the same value raises again.
@@ -298,16 +305,12 @@ def _check(d: Drs) -> None:
     known = d._by_id
     if len(known) != len(d.boxes):
         raise DataError("duplicate box ids")
-    if d.top not in known:
-        raise DataError(f"top box {d.top!r} does not exist")
-    if known[d.top].presupposed:
-        raise DataError(f"top box {d.top} is presupposed")
     declared: dict[str, str] = {}
     labels: set[str] = set()  # of unary predicates and binary roles
     presupposed: set[str] = set()
     for b in d.boxes:
-        if not is_box_id(b.id) or b.presupposed != (b.id[0] == "p"):  # 'p' marks presupposed
-            raise DataError(f"bad box id {b.id!r} for presupposed={b.presupposed}")
+        if not is_box_id(b.id):
+            raise DataError(f"bad box id {b.id!r}")
         if type(b.referents) is not tuple or type(b.conditions) is not tuple:
             raise DataError(f"box {b.id} does not hold tuples of referents and conditions")
         if b.presupposed:
@@ -351,11 +354,13 @@ def _check(d: Drs) -> None:
         for ref in (a, bb):
             if ref not in known:
                 raise DataError(f"relation {label} references unknown box {ref!r}")
-        if d.top in (a, bb):
-            raise DataError("discourse relations may not reference the top box")
-    parents = parent_map(d)
+    top, parents = d._nesting
+    if top is None:
+        raise DataError("no top box: every box is presupposed or embedded")
+    if embedded := sorted(p for p in presupposed if p in parents):
+        raise DataError(f"presupposed box embedded by an operator or relation: {embedded}")
     roots = [b for b in d.boxes if b.id not in parents]
-    stray = [b.id for b in roots if b.id != d.top and not b.presupposed]
+    stray = [b.id for b in roots if b.id != top and not b.presupposed]
     if stray:
         raise DataError(f"boxes unreachable from top: {sorted(stray)}")
     unnamed = [b.id for b in roots if not _hosts_line(d, b)]
@@ -403,13 +408,10 @@ def _check(d: Drs) -> None:
         for child in reversed(children.get(box_id, ())):
             stack.append((child, (antecedent[child],) if child in antecedent else ()))
     if len(visited) != len(d.boxes):
-        # The rest lie on or below a nesting cycle. They are unreachable
-        # unless the top or a presupposed box is among them.
-        rest = [b for b in d.boxes if b.id not in visited]
-        if not any(b.id == d.top or b.presupposed for b in rest):
-            raise DataError(f"boxes unreachable from top: {sorted(b.id for b in rest)}")
-        box_id, seen = rest[0].id, set()
-        while box_id not in seen:  # up from rest[0] until a box comes round again
+        # every root was walked, so the rest lie on or below a nesting cycle:
+        # go up from one of them until a box comes round again
+        box_id, seen = next(b.id for b in d.boxes if b.id not in visited), set()
+        while box_id not in seen:
             seen.add(box_id)
             box_id = parents[box_id]
         raise CyclicStructure(f"box {box_id} is its own ancestor")
@@ -473,7 +475,6 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
     hosted: dict[str, tuple[list[str], list[Condition]]] = {}
     declared: set[str] = set()  # by REF lines, so variables
     mentioned: dict[str, None] = {}
-    embedded: set[str] = set()
     relations: list[tuple[str, str, str]] = []
     relation_hosts: list[tuple[int, str]] = []
 
@@ -504,13 +505,11 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
             args = toks[2:]
             for a in args:
                 touch(a)
-            embedded.update(args)
             conditions.append(Operator(kw, tuple(args)))
         elif _is_keyword(kw):
             if len(toks) == 4 and is_box_id(toks[2]) and is_box_id(toks[3]):
                 for a in toks[2:]:
                     touch(a)
-                embedded.update(toks[2:])
                 relations.append((kw, toks[2], toks[3]))
                 relation_hosts.append((n, host))
             else:
@@ -526,16 +525,13 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
     for box_id in mentioned:
         hosted.setdefault(box_id, ([], []))
 
-    # the first box that is neither presupposed nor embedded; validate
-    # rejects the fallback when it cannot be the top
-    top = next((b for b in hosted if not b.startswith("p") and b not in embedded),
-               next(iter(hosted)))
+    draft = Drs(tuple(Box(b, tuple(refs), tuple(conds)) for b, (refs, conds) in hosted.items()),
+                tuple(relations))
+    top = draft.top  # with no top, validate says so
     for n, host in relation_hosts:
-        if host != top:
+        if top is not None and host != top:
             raise DataError(f"line {n}: relation hosted at {host}, expected top box {top}")
-    boxes = tuple(Box(id=b, referents=tuple(refs), conditions=tuple(conds),
-                      presupposed=b.startswith("p")) for b, (refs, conds) in hosted.items())
-    d = _in_text_order(Drs(boxes=boxes, relations=tuple(relations), top=top))
+    d = _in_text_order(draft)
     return ClauseDocument(drs=validate(d), alignments=tuple(alignments),
                           comments=tuple(comments))
 
@@ -593,9 +589,10 @@ def format_clauses(doc: ClauseDocument | Drs) -> str:
             raise DataError(
                 f"alignment predicate {rec.predicate!r} is empty or holds whitespace")
         out.append(f"% {rec.token} {rec.predicate}" + (" head" if rec.head else ""))
+    top = d.top
     for box in d.boxes:
-        if box.id == d.top:  # the top hosts the relations, first in its block
-            out.extend(f"{d.top} {label} {a} {b}" for label, a, b in d.relations)
+        if box.id == top:  # the top hosts the relations, first in its block
+            out.extend(f"{top} {label} {a} {b}" for label, a, b in d.relations)
         out.extend(map(" ".join, box_clauses(box)))
     return "\n".join(out) + "\n"
 
@@ -612,17 +609,16 @@ def merge_presuppositions(d: Drs) -> Drs:
     of a box already merged into P, except P and the boxes nested in it,
     which move with it. P merges into the consumer that holds all the
     others, or into the top box if it has no consumer. Consumers of which
-    none holds all the others, an operator or relation that references P,
-    and an unconsumed P that holds the top box raise AmbiguousMerge. A
-    target's referents and conditions are extended in merge order, each
-    merged box's own before those merged into it. Idempotent: a DRS with no
-    presupposed boxes is returned as-is. An invalid ``d`` raises what
-    ``validate`` raises.
+    none holds all the others raise AmbiguousMerge. A target's referents and
+    conditions are extended in merge order, each merged box's own before
+    those merged into it. Idempotent: a DRS with no presupposed boxes is
+    returned as-is. An invalid ``d`` raises what ``validate`` raises; by the
+    root rule, no P is embedded and none holds the top box.
     """
     validate(d)
     if not any(b.presupposed for b in d.boxes):
         return d
-    parents = parent_map(d)
+    top, parents = d._nesting
     home = {v: b.id for b in d.boxes for v in b.referents}
     # box -> the boxes whose conditions use its referents, as the input has them
     users: dict[str | None, set[str]] = {}
@@ -646,14 +642,10 @@ def merge_presuppositions(d: Drs) -> Drs:
         return line
 
     for p in [b.id for b in d.boxes if b.presupposed]:
-        if p in parents:
-            raise AmbiguousMerge(f"presupposed box {p} is referenced by an operator or relation")
         group = [p, *taken.pop(p, ())]
         consumers = {alive(x) for y in group for x in users.get(y, ())}
         # consumers nested in p move with it; with none left, the top stands in
-        chains = [c for c in map(chain, consumers) if p not in c] or [chain(d.top)]
-        if p in chains[0]:
-            raise AmbiguousMerge(f"presupposed box {p} holds the top box {d.top}")
+        chains = [c for c in map(chain, consumers) if p not in c] or [[top]]
         target = min(chains, key=len)[0]  # one that holds all others has the shortest chain
         if not all(target in c for c in chains):
             raise AmbiguousMerge(
@@ -666,7 +658,7 @@ def merge_presuppositions(d: Drs) -> Drs:
         sum((known[x].conditions for x in taken[b.id]), b.conditions))
         for b in d.boxes if b.id not in into)
     try:
-        return validate(_in_text_order(Drs(boxes, d.relations, d.top)))
+        return validate(_in_text_order(Drs(boxes, d.relations)))
     except DataError as e:
         raise AmbiguousMerge(f"merging presupposed boxes broke accessibility: {e}") from e
 
@@ -681,10 +673,9 @@ def _relabelled(d: Drs, relabel) -> Drs:
     boxes = tuple(
         Box(b.id, b.referents,
             tuple(Unary(relabel(c.predicate), c.argument) if isinstance(c, Unary) else c
-                  for c in b.conditions),
-            b.presupposed)
+                  for c in b.conditions))
         for b in d.boxes)
-    out = Drs(boxes, d.relations, d.top)
+    out = Drs(boxes, d.relations)
     if "_valid" in d.__dict__:
         out.__dict__["_valid"] = True
     return out
@@ -767,7 +758,6 @@ def canonicalize_variables(d: Drs) -> Drs:
                 conds.append(Binary(c.role, rename_arg(c.first), rename_arg(c.second)))
             else:
                 conds.append(Operator(c.op, tuple(box_map[x] for x in c.boxes)))
-        boxes.append(Box(id=box_map[b.id], referents=refs, conditions=tuple(conds),
-                         presupposed=b.presupposed))
+        boxes.append(Box(id=box_map[b.id], referents=refs, conditions=tuple(conds)))
     relations = tuple((label, box_map[a], box_map[bb]) for label, a, bb in d.relations)
-    return Drs(boxes=tuple(boxes), relations=relations, top=box_map[d.top])
+    return Drs(boxes=tuple(boxes), relations=relations)

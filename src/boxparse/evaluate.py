@@ -84,16 +84,28 @@ class ScoreReport:
 
 
 def to_clauses(d: Drs) -> ClauseSet:
-    """Deterministic clause decomposition: the clauses the file format
-    writes, one per referent, condition and discourse relation."""
+    """Deterministic clause decomposition, one clause per referent, condition
+    and discourse relation. Box clauses are those the file format writes. A
+    relation is ``("REL", label, a, b)``: the file writes it at its host,
+    the top box (``b1 CONTINUATION b2 b3``), but the scored clause leaves
+    the host out.
+
+    ``d`` is not validated, so that a prediction with relations dropped
+    still scores; a field of the wrong type raises ``DataError``.
+    """
     clauses: list[Clause] = []
     sorts: dict[str, str] = {}
-    for b in d.boxes:
-        sorts[b.id] = "b"
-        sorts.update((v, variable_sort(v)) for v in b.referents)
-        clauses.extend(box_clauses(b))
-    clauses.extend(("REL", *r) for r in d.relations)
-    return ClauseSet(clauses=tuple(clauses), sorts=sorts)
+    try:
+        for b in d.boxes:
+            sorts[b.id] = "b"
+            sorts.update((v, variable_sort(v)) for v in b.referents)
+            clauses.extend(box_clauses(b))
+        clauses.extend(("REL", *r) for r in d.relations)
+        out = tuple(clauses)
+        hash(out)  # the search counts clauses in dicts
+    except (TypeError, AttributeError) as e:
+        raise DataError(f"a field of the wrong type: {e}") from e
+    return ClauseSet(clauses=out, sorts=sorts)
 
 
 def rename_clause(clause: Clause, sorts: dict[str, str], mapping: dict[str, str]) -> Clause:

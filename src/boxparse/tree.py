@@ -260,8 +260,8 @@ def from_tree(t: DrsTree) -> Drs:
     root = t.root
     builder = _Builder()
     if root.label == "DRS":
-        top = builder.read(root, {})
-        return validate(_in_text_order(Drs(tuple(builder.boxes), (), top)))
+        builder.read(root, {})
+        return validate(_in_text_order(Drs(tuple(builder.boxes))))
     if root.label != "SDRS":
         raise MalformedTree(f"root must be DRS or SDRS, got {root.label!r}")
     drs_kids = [c for c in root.children if c.label == "DRS"]
@@ -281,7 +281,7 @@ def from_tree(t: DrsTree) -> Drs:
         if ka not in k or kb not in k:
             raise MalformedTree(f"bad constituent index in ({label} {ka} {kb})")
         relations.append((label, k[ka], k[kb]))
-    return validate(_in_text_order(Drs(tuple(builder.boxes), tuple(relations), top)))
+    return validate(_in_text_order(Drs(tuple(builder.boxes), tuple(relations))))
 
 
 def linearize(t: DrsTree) -> LinearSeq:

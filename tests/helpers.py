@@ -127,10 +127,10 @@ def random_draft(rng: np.random.Generator, max_boxes: int = 4,
             if n_constituents == 3:
                 relations.append((sampler.pick(RELATION_POOL), constituents[1],
                                   constituents[2]))
-            d = Drs(boxes=tuple(sampler.boxes), relations=tuple(relations), top=top)
+            d = Drs(boxes=tuple(sampler.boxes), relations=tuple(relations))
         else:
             top = sampler.build_box([], depth=0)
-            d = Drs(boxes=tuple(sampler.boxes), relations=(), top=top)
+            d = Drs(boxes=tuple(sampler.boxes), relations=())
         if not format_clauses(d).strip():
             continue  # single empty box; not representable as clause text
         return d
@@ -183,6 +183,31 @@ def random_presupposed_drs(rng: np.random.Generator, max_presupposed: int = 3) -
 
 def _pick(rng: np.random.Generator, pool: list[str]) -> str:
     return pool[int(rng.integers(len(pool)))]
+
+
+def _dog(box_id: str, x: str) -> Box:
+    return Box(box_id, (x,), (Unary("dog", x),))
+
+
+# DRSs with one field of the wrong type: a value that is no str where clause
+# text gives a str, a str that is no Box, or a list where the parser gives a
+# tuple (such a DRS would neither read back equal nor hash)
+WRONG_TYPES = {
+    "unary_int_argument": Drs((Box("b1", ("x1",), (Unary("dog", 1),)),)),
+    "unary_int_predicate": Drs((Box("b1", ("x1",), (Unary(1, "x1"),)),)),
+    "int_referent": Drs((Box("b1", (1,), ()),)),
+    "binary_list_argument": Drs((Box("b1", ("x1",), (Unary("dog", "x1"),
+                                                      Binary("Agent", "x1", ["a"]))),)),
+    "int_relation_label": Drs((_dog("b1", "x1"), _dog("b2", "x2"), _dog("b3", "x3")),
+                              ((1, "b2", "b3"),)),
+    "list_relation": Drs((_dog("b1", "x1"), _dog("b2", "x2"), _dog("b3", "x3")),
+                         (["CONTINUATION", "b2", "b3"],)),
+    "str_for_box": Drs(("b1",)),
+    "operator_list_boxes": Drs((Box("b1", ("x1",), (Unary("dog", "x1"), Operator("NOT", ["b2"]))),
+                                _dog("b2", "x2"))),
+    "box_list_referents": Drs((Box("b1", ["x1"], (Unary("dog", "x1"),)),)),
+    "list_of_boxes": Drs([_dog("b1", "x1")]),
+}
 
 
 def small_drs_for_alignment(rng: np.random.Generator) -> Drs:

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,7 +77,8 @@ class TestForwardOps:
         with pytest.raises(ShapeError):
             ad.backward(ad.tensor(np.ones(2)))
 
-    @pytest.mark.parametrize("data", ["a", [[1], [1, 2]], None], ids=["string", "ragged", "none"])
+    @pytest.mark.parametrize("data", ["a", [[1], [1, 2]], None, [1.0, None], 1j],
+                             ids=["string", "ragged", "none", "none_in_list", "complex"])
     def test_data_that_is_no_float_array_raises_shape_error(self, data):
         with pytest.raises(ShapeError):
             ad.tensor(data)
@@ -89,6 +91,23 @@ class TestForwardOps:
     def test_shape_that_is_no_tuple_of_sizes_raises_shape_error(self, make):
         with pytest.raises(ShapeError):
             make()
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 1e308])
+    def test_scale_that_uniform_cannot_draw_from_raises_numeric_error(self, scale):
+        with pytest.raises(NumericError, match=re.escape(f"scale={scale}")):
+            ad.uniform((2,), np.random.default_rng(0), scale=scale)
+
+    @pytest.mark.parametrize("logits", [[np.nan, 1.0], [np.inf, 1.0], [1.0, np.nan]],
+                             ids=["nan", "inf", "nan_last"])
+    def test_logits_whose_largest_is_not_finite_raise_numeric_error(self, logits):
+        with pytest.raises(NumericError, match="largest"):
+            ad.softmax(ad.tensor(logits))
+        with pytest.raises(NumericError, match="largest"):
+            ad.softmax_cross_entropy(ad.tensor(logits), 1)
+
+    def test_masked_out_nan_logit_is_ignored(self):
+        p = ad.softmax(ad.tensor([np.nan, 1.0, 1.0]), mask=[False, True, True])
+        assert np.array_equal(p.data, [0.0, 0.5, 0.5])
 
     def test_empty_softmax_raises_shape_error(self):
         with pytest.raises(ShapeError):
@@ -208,6 +227,18 @@ class TestBackward:
         loss = ad.reduce_sum(ad.mul(w, w))
         ad.backward(loss)
         assert np.allclose(w.grad, [2.0, 4.0, 6.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_loss_that_is_not_finite_raises_before_any_grad_is_written(self, bad):
+        w = ad.tensor(np.array([1.0, 2.0]), requires_grad=True)
+        ad.backward(ad.reduce_sum(ad.mul(w, w)))
+        before = w.grad.copy()
+        product = ad.mul(w, ad.tensor([bad, 1.0]))
+        loss = ad.reduce_sum(product)
+        with pytest.raises(NumericError, match="loss is"):
+            ad.backward(loss)
+        assert np.array_equal(w.grad, before)
+        assert loss.grad is None and product.grad is None
 
     def test_parameter_used_twice_gets_summed_gradient(self):
         w = ad.tensor(np.array([1.0, -2.0]), requires_grad=True)

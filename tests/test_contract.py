@@ -131,11 +131,11 @@ def test_edited_token_sequence_raises_only_boxparse_errors(seed, token_edits):
 @st.composite
 def drawn_drs(draw) -> Drs:
     """A DRS built in code, with at most one kind of part drawn odd: a
-    spelling, the presupposed flag of one box, or the shape of one relation
-    or condition. The first box is the top; each other box hangs under an
-    operator of an earlier box, is a relation constituent, or is a root;
-    every box declares one referent; and the boxes come in any order."""
-    odd = draw(st.sampled_from([None, None, "flag", *PARTS, *SHAPES]))
+    spelling, or the shape of one relation or condition. The first box is
+    a root; each other box hangs under an operator of an earlier box, is a
+    relation constituent, or is a root; every box declares one referent;
+    and the boxes come in any order."""
+    odd = draw(st.sampled_from([None, None, *PARTS, *SHAPES]))
 
     def part(kind: str) -> str:
         return draw(st.sampled_from(PARTS[kind][kind == odd]))
@@ -163,11 +163,8 @@ def drawn_drs(draw) -> Drs:
     elif odd == "condition_shape":
         conditions[draw(st.integers(0, len(ids) - 1))].append(
             draw(st.sampled_from(SHAPES[odd])))
-    flipped = draw(st.sampled_from(ids)) if odd == "flag" else None  # its flag disagrees
-    boxes = [Box(box_id, (f"x{i + 1}",), tuple(conditions[i]),
-                 presupposed=box_id.startswith("p") != (box_id == flipped))
-             for i, box_id in enumerate(ids)]
-    return Drs(tuple(draw(st.permutations(boxes))), tuple(relations), ids[0])
+    boxes = [Box(box_id, (f"x{i + 1}",), tuple(conditions[i])) for i, box_id in enumerate(ids)]
+    return Drs(tuple(draw(st.permutations(boxes))), tuple(relations))
 
 
 @given(drawn_drs())

@@ -11,6 +11,7 @@ from helpers import (
     FIG1_CLAUSES,
     FIG1_LEMMAS,
     FIG1_TOKENS,
+    WRONG_TYPES,
     random_draft,
     random_drs,
     random_presupposed_drs,
@@ -317,19 +318,15 @@ class TestMergePresuppositions:
         assert set(merged.box("b1").referents) == {"e1", "x1"}
 
     def test_structurally_referenced_presupposed_box(self):
-        d = Drs(
-            boxes=(
-                Box("b1", ("e1",), (Unary("run", "e1"), Operator("NOT", ("p1",)))),
-                Box("p1", ("x1",), (Unary("laptop", "x1"),), presupposed=True),
-            ),
-            top="b1",
-        )
-        with pytest.raises(AmbiguousMerge):
-            merge_presuppositions(validate(d))
+        # the root rule rejects it before any merge
+        d = Drs((Box("b1", ("e1",), (Unary("run", "e1"), Operator("NOT", ("p1",)))),
+                 Box("p1", ("x1",), (Unary("laptop", "x1"),))))
+        with pytest.raises(DataError, match="presupposed box embedded"):
+            merge_presuppositions(d)
 
     def test_invalid_argument_raises_data_error(self):
         d = parse_clauses(PRESUPPOSED)
-        bad = Drs(d.boxes, (("CONTINUATION", "b2"),), d.top)
+        bad = Drs(d.boxes, (("CONTINUATION", "b2"),))
         with pytest.raises(DataError, match="not a .label, box, box. triple"):
             merge_presuppositions(bad)
 
@@ -365,11 +362,10 @@ class TestMergePresuppositions:
             Binary("Location", "x2", "x1"), Unary("city.n.01", "x1"))),)
 
     def test_unconsumed_box_that_holds_the_top_raises(self):
-        # merged into the top, p1 would make b1 its own ancestor before p2,
-        # which b1 consumes, is placed
+        # p1 embeds the only plain box, so nothing can be the top
         text ="b1 REF x1\nb1 dog.n.01 x1\nb1 Owner x1 x2\np1 NOT b1\np2 REF x2\np2 man.n.01 x2\n"
-        with pytest.raises(AmbiguousMerge, match="p1 holds the top box b1"):
-            merge_presuppositions(parse_clauses(text))
+        with pytest.raises(DataError, match="no top box"):
+            parse_clauses(text)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=300, deadline=None)
@@ -494,32 +490,6 @@ LABELS = ["dog", "dog.n.01", "A.n.01", "Ref.n.01", "REF.n.01", "NOT.n.01",
 LEMMAS = ["aprire", "A", "REF", "NOT.n.01", "NARRATION", "x1", "b2.n.01"]
 
 
-def _dog(box_id: str, x: str) -> Box:
-    return Box(box_id, (x,), (Unary("dog", x),))
-
-
-# DRSs with one field of the wrong type: a value that is no str where clause
-# text gives a str, a str that is no Box, or a list where the parser gives a
-# tuple (such a DRS would neither read back equal nor hash)
-WRONG_TYPES = {
-    "unary_int_argument": Drs((Box("b1", ("x1",), (Unary("dog", 1),)),), (), "b1"),
-    "unary_int_predicate": Drs((Box("b1", ("x1",), (Unary(1, "x1"),)),), (), "b1"),
-    "int_referent": Drs((Box("b1", (1,), ()),), (), "b1"),
-    "binary_list_argument": Drs((Box("b1", ("x1",), (Unary("dog", "x1"),
-                                                      Binary("Agent", "x1", ["a"]))),), (), "b1"),
-    "int_relation_label": Drs((_dog("b1", "x1"), _dog("b2", "x2"), _dog("b3", "x3")),
-                              ((1, "b2", "b3"),), "b1"),
-    "list_relation": Drs((_dog("b1", "x1"), _dog("b2", "x2"), _dog("b3", "x3")),
-                         (["CONTINUATION", "b2", "b3"],), "b1"),
-    "str_for_box": Drs(("b1",), (), "b1"),
-    "operator_list_boxes": Drs((Box("b1", ("x1",), (Unary("dog", "x1"), Operator("NOT", ["b2"]))),
-                                _dog("b2", "x2")), (), "b1"),
-    "box_list_referents": Drs((Box("b1", ["x1"], (Unary("dog", "x1"),)),), (), "b1"),
-    "list_of_boxes": Drs([_dog("b1", "x1")], (), "b1"),
-    "int_top": Drs((_dog("b1", "x1"),), (), 1),
-}
-
-
 class TestValidate:
     @pytest.mark.parametrize("d", WRONG_TYPES.values(), ids=WRONG_TYPES)
     def test_wrong_typed_field_raises_data_error(self, d):
@@ -532,7 +502,7 @@ class TestValidate:
             assert validate(d) is d
 
     def test_variable_sorts_checked(self):
-        bad = Drs(boxes=(Box("b1", ("q1",), ()),), top="b1")
+        bad = Drs(boxes=(Box("b1", ("q1",), ()),))
         with pytest.raises(DataError):
             validate(bad)
 
@@ -547,12 +517,12 @@ class TestValidate:
             parse_clauses(text)
 
     def test_unreachable_box(self):
-        d = Drs(boxes=(Box("b1", ("e1",), (Unary("run", "e1"),)), Box("b2")), top="b1")
+        d = Drs(boxes=(Box("b1", ("e1",), (Unary("run", "e1"),)), Box("b2")))
         with pytest.raises(DataError):
             validate(d)
 
     def test_failed_check_raises_again(self):
-        bad = Drs(boxes=(Box("b1", ("q1",), ()),), top="b1")
+        bad = Drs(boxes=(Box("b1", ("q1",), ()),))
         for _ in range(2):
             with pytest.raises(DataError, match="bad referent name"):
                 validate(bad)
@@ -566,7 +536,7 @@ class TestValidate:
         names = iter(labels)
         d = Drs(tuple(replace(b, conditions=tuple(
             Unary(next(names, c.predicate), c.argument) if isinstance(c, Unary) else c
-            for c in b.conditions)) for b in d.boxes), d.relations, d.top)
+            for c in b.conditions)) for b in d.boxes), d.relations)
         try:
             validate(d)
         except DataError:
@@ -579,7 +549,7 @@ class TestValidate:
             except PairingError:
                 continue
             # the result passes on d's check; a fresh copy must pass its own
-            validate(Drs(out.boxes, out.relations, out.top))
+            validate(Drs(out.boxes, out.relations))
             assert parse_clauses(format_clauses(out)) == out
 
     @pytest.mark.parametrize("text, checks", [(PRESUPPOSED, 3), (FORMAT_PROBE, 2)],
@@ -598,7 +568,7 @@ class TestValidate:
         Unary("sit down", "e1"), Unary("", "e1"), Binary("Agent", "e1", '"a b"')])
     def test_blank_labels_and_spaced_constants_rejected(self, condition):
         # format_clauses would write a line that splits into other tokens
-        d = Drs(boxes=(Box("b1", ("e1",), (condition,)),), top="b1")
+        d = Drs(boxes=(Box("b1", ("e1",), (condition,)),))
         with pytest.raises(DataError):
             validate(d)
 
@@ -612,40 +582,44 @@ class TestValidate:
     @pytest.mark.parametrize("box_id, referent", [("foo", "x1"), ("b1\n", "x1"),
                                                   ("b1", "x1\n")])
     def test_names_spelled_as_the_parser_reads_them(self, box_id, referent):
-        d = Drs(boxes=(Box(box_id, (referent,), (Unary("dog", referent),)),), top=box_id)
+        d = Drs(boxes=(Box(box_id, (referent,), (Unary("dog", referent),)),))
         with pytest.raises(DataError):
             validate(d)
 
-    @pytest.mark.parametrize("boxes", [
-        # a b-box flagged presupposed re-parses as an unreachable plain box
-        (Box("b1", ("x1",), (Unary("dog", "x1"),)),
-         Box("b2", ("x2",), (Unary("cat", "x2"),), presupposed=True)),
-        # a p-box not flagged presupposed re-parses as presupposed
-        (Box("b1", (), (Operator("NOT", ("p2",)),)),
-         Box("p2", ("x1",), (Unary("dog", "x1"),))),
-    ], ids=["b_presupposed", "p_not_presupposed"])
-    def test_presupposed_exactly_when_the_id_says_so(self, boxes):
-        with pytest.raises(DataError, match="bad box id"):
-            validate(Drs(boxes=boxes, top="b1"))
-
     def test_top_box_is_not_presupposed(self):
-        with pytest.raises(DataError, match="top box p1 is presupposed"):
+        with pytest.raises(DataError, match="no top box"):
             parse_clauses("p1 REF x1\np1 dog x1\n")
+
+    def test_top_nested_under_a_presupposed_box(self):
+        with pytest.raises(DataError, match="no top box"):
+            parse_clauses("b1 REF x1\nb1 dog x1\np1 NOT b1\n")
+
+    @pytest.mark.parametrize("text", [
+        "b1 REF x1\nb1 dog x1\nb1 NOT p1\np1 REF x2\np1 cat x2\n",
+        "b1 CONTINUATION b2 p1\nb2 REF x1\nb2 dog x1\np1 REF x2\np1 cat x2\n",
+    ], ids=["operator", "relation"])
+    def test_embedded_presupposed_box(self, text):
+        with pytest.raises(DataError, match="presupposed box embedded"):
+            parse_clauses(text)
+
+    def test_cycle_away_from_the_top(self):
+        with pytest.raises(CyclicStructure, match="its own ancestor"):
+            parse_clauses("b1 REF x1\nb1 dog x1\nb2 NOT b3\nb3 NOT b2\n")
 
     @pytest.mark.parametrize("label", ["continuation", "REF", "NOT", "A", "CON TINUATION"])
     def test_relation_labels_are_keywords(self, label):
         d = parse_clauses(PRESUPPOSED)
         with pytest.raises(DataError, match="bad relation label"):
-            validate(Drs(d.boxes, ((label, "b2", "b3"),), d.top))
+            validate(Drs(d.boxes, ((label, "b2", "b3"),)))
 
     @pytest.mark.parametrize("boxes", [
         (Box("b1"),),
-        (Box("b1", ("x1",), (Unary("dog", "x1"),)), Box("p1", presupposed=True)),
-        (Box("b1"), Box("p1", ("x1",), (Unary("dog", "x1"),), presupposed=True)),
+        (Box("b1", ("x1",), (Unary("dog", "x1"),)), Box("p1")),
+        (Box("b1"), Box("p1", ("x1",), (Unary("dog", "x1"),))),
     ], ids=["no_clause", "empty_presupposed", "empty_top"])
     def test_every_box_hosts_or_is_named_by_a_clause(self, boxes):
         with pytest.raises(DataError, match="no clause hosts or names"):
-            validate(Drs(boxes=boxes, top="b1"))
+            validate(Drs(boxes=boxes))
 
     @pytest.mark.parametrize("make", [
         # the top box comes second, as in the text
@@ -675,30 +649,30 @@ class TestValidate:
         b1 = Box("b1", (), (Operator("NOT", ("b2",)), Operator("NOT", ("b3",))))
         b2, b3 = Box("b2"), Box("b3", ("x1",), (Unary("dog", "x1"),))
         with pytest.raises(DataError, match="clause-text order"):
-            validate(Drs(boxes=(b1, b2, b3), top="b1"))
-        d = Drs(boxes=(b1, b3, b2), top="b1")
+            validate(Drs(boxes=(b1, b2, b3)))
+        d = Drs(boxes=(b1, b3, b2))
         assert parse_clauses(format_clauses(validate(d))) == d
 
     @pytest.mark.parametrize("relation", [("CONTINUATION", "b2"), ("CONTINUATION",),
                                           ("CONTINUATION", "b2", "b3", "b2"), None])
     def test_relation_that_is_not_a_triple(self, fig1_drs, relation):
-        d = Drs(fig1_drs.boxes, (relation,), fig1_drs.top)
+        d = Drs(fig1_drs.boxes, (relation,))
         with pytest.raises(DataError, match="not a .label, box, box. triple"):
             validate(d)
 
     @pytest.mark.parametrize("condition", ["dog", ("dog", "x1"), None])
     def test_condition_of_no_condition_class(self, condition):
-        d = Drs(boxes=(Box("b1", ("x1",), (Unary("dog", "x1"), condition)),), top="b1")
+        d = Drs(boxes=(Box("b1", ("x1",), (Unary("dog", "x1"), condition)),))
         with pytest.raises(DataError, match="is not a Unary, Binary or Operator"):
             validate(d)
 
     def test_presupposed_flag_preserved_in_replace(self):
-        b = Box("p1", ("x1",), (), presupposed=True)
+        b = Box("p1", ("x1",), ())
         assert replace(b, referents=("x2",)).presupposed
 
 
 VALUES = [Unary("dog", "x1"), Binary("Agent", "e1", '"now"'), Operator("IMP", ("b2", "b3")),
-          Box("p1", ("x1",), (Unary("dog", "x1"),), presupposed=True)]
+          Box("p1", ("x1",), (Unary("dog", "x1"),))]
 
 
 class TestValues:
@@ -727,7 +701,9 @@ class TestValues:
         assert hash(replace(Unary("dog", "x1"), argument="x2")) == hash(Unary("dog", "x2"))
 
     def test_keyword_and_default_construction(self):
-        assert Box(id="b1") == Box("b1", (), (), False)
+        assert Box(id="b1") == Box("b1", (), ())
         assert Binary(role="Agent", first="e1", second="x1") == Binary("Agent", "e1", "x1")
-        assert repr(Box("b1")) == \
-            "Box(id='b1', referents=(), conditions=(), presupposed=False)"
+        assert repr(Box("b1")) == "Box(id='b1', referents=(), conditions=())"
+        assert Drs(boxes=(Box("b1"),)) == Drs((Box("b1"),), ())
+        assert repr(Drs((Box("b1"),))) == \
+            "Drs(boxes=(Box(id='b1', referents=(), conditions=()),), relations=())"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    WRONG_TYPES,
     brute_force_best_match,
     oracle_match_count,
     random_drs,
@@ -78,6 +79,15 @@ class TestToClauses:
         cs = to_clauses(d)
         assert cs.clauses == (("b1", "NOT", "b2"),)
         assert cs.sorts["b2"] == "b"
+
+    @pytest.mark.parametrize("d", WRONG_TYPES.values(), ids=WRONG_TYPES)
+    def test_wrong_typed_field_scores_or_raises_data_error(self, d, fig1_drs):
+        # score does not validate, so to_clauses meets the wrong type itself
+        for pred, gold in ((d, fig1_drs), (fig1_drs, d)):
+            try:
+                score(pred, gold, lexical_labels=FIG1_LEXICAL)
+            except DataError:
+                pass
 
     def test_injective_up_to_renaming(self, rng):
         seen = {}
@@ -235,7 +245,7 @@ class TestCategoryBreakdown:
 
         gold = strip_senses(fig1_drs)
         # identical except the relation clause is gone
-        pred = Drs(boxes=gold.boxes, relations=(), top=gold.top)
+        pred = Drs(boxes=gold.boxes, relations=())
         rep = score(pred, gold, lexical_labels=FIG1_LEXICAL)
         cats = rep.per_category
         assert cats["operators"].recall == 0.0

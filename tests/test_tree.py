@@ -105,8 +105,7 @@ class TestToTree:
 
     def test_presupposed_boxes_rejected(self):
         d = Drs(boxes=(Box("b1", ("e1",), (Unary("run", "e1"),)),
-                       Box("p1", ("x1",), (Unary("dog", "x1"),), presupposed=True)),
-                top="b1")
+                       Box("p1", ("x1",), (Unary("dog", "x1"),))))
         with pytest.raises(DataError, match="merge presuppositions"):
             to_tree(d)
 
