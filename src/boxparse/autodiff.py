@@ -27,13 +27,15 @@ it computes fresh, and copies one it passes on unchanged (``add`` and
 So scaling one tensor's gradient in place, as ``clip_grad_norm`` does,
 leaves every other gradient as it was.
 
-Every tensor is float64. Data that numpy cannot turn into a float array or
-reads as an object array (None, which a float array would hold as NaN, say)
-and a shape that numpy rejects raise ``ShapeError``. A scale that ``uniform``
-cannot draw from, logits whose largest is NaN or infinite, and a loss that
-is not finite raise ``NumericError``. An operand that is not a ``Tensor``
-raises ``AttributeError``: that is a caller's bug, not bad data, and the ops
-do not test for it.
+Every tensor is float64. Data that numpy cannot turn into an array, or
+reads as an array of any kind but bool, integer or float (None, a string, a
+complex number or a date, which a float array would hold as NaN, the number
+it spells, its real part or a day count), and a shape that numpy rejects
+raise ``ShapeError``. A scale that ``uniform`` cannot draw from, logits
+whose largest is NaN or infinite, and a loss that is not finite raise
+``NumericError``. An operand that is not a ``Tensor`` raises
+``AttributeError``: that is a caller's bug, not bad data, and the ops do
+not test for it.
 """
 
 from __future__ import annotations
@@ -56,11 +58,12 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         try:
-            if np.asarray(data).dtype == object:  # a float array would hold None as NaN
-                raise TypeError(f"numpy reads the {type(data).__name__} as an object array")
-            self.data = np.asarray(data, dtype=np.float64)
+            data = np.asarray(data)
         except (TypeError, ValueError) as e:
             raise ShapeError(f"not a float array: {e}") from None
+        if data.dtype.kind not in "biuf":  # else None would read as NaN, "1" as 1.0
+            raise ShapeError(f"not a float array: numpy reads the data as {data.dtype}")
+        self.data = data.astype(np.float64, copy=False)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -345,7 +348,11 @@ def _masked_softmax(logits: np.ndarray, mask) -> np.ndarray:
     top = z.max()
     if not np.isfinite(top):  # a NaN or +inf logit, or all -inf
         raise NumericError(f"softmax of logits whose largest is {top}")
-    e = z - top  # a new array, so the steps below may work in place
+    if top < 2.0 ** 969:  # then no finite logit minus top can overflow
+        e = z - top  # a new array, so the steps below may work in place
+    else:  # a logit far below top may give -inf, whose exp is 0 anyway
+        with np.errstate(over="ignore"):
+            e = z - top
     np.exp(e, out=e)
     e /= e.sum()
     return e
@@ -370,9 +377,18 @@ def softmax_cross_entropy(logits: Tensor, target: int, mask=None) -> Tensor:
         raise ShapeError("softmax_cross_entropy expects 1D logits")
     target = _index(target, logits.data.shape[0], "target")
     p = _masked_softmax(logits.data, mask)
-    if p[target] <= 0.0:
+    if p[target] >= 2.2250738585072014e-308:  # the smallest normal float
+        loss = -np.log(p[target])
+    elif mask is not None and not np.asarray(mask, dtype=bool)[target]:
         raise ShapeError("target position is masked out")
-    loss = -np.log(p[target])
+    else:
+        # p[target] underflows, to 0 or to a float with few digits, so take
+        # -log p[target] from the logits: the largest minus the target's, plus
+        # log(sum(exp(logits - largest))), which is -log p.max()
+        x = logits.data
+        loss = float(x[p.argmax()]) - float(x[target]) - float(np.log(p.max()))
+        if not np.isfinite(loss):
+            raise NumericError(f"cross-entropy of target logit {x[target]} is {loss}")
     p[target] -= 1.0  # p is now d(loss)/d(logits), which is all backward needs
     return _make(loss, (logits,), _times_ctx_backward, p)
 

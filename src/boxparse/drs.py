@@ -200,7 +200,7 @@ class Drs:
                     if child in parents:
                         raise DataError(f"box {child} embedded under several operators")
                     parents[child] = b.id
-        constituents = dict.fromkeys(x for _label, a, bb in self.relations for x in (a, bb))
+        constituents = dict.fromkeys(x for rel in self.relations for x in _triple(rel)[1:])
         for child in constituents:
             if child in parents:
                 raise DataError(
@@ -230,6 +230,13 @@ class Drs:
             # it as a str or reads its attributes, at no cost to valid input
             raise DataError(f"a field of the wrong type: {e}") from e
         return True
+
+
+def _triple(rel) -> tuple[str, str, str]:
+    """``rel``, if it has the shape of a relation; else raises DataError."""
+    if type(rel) is not tuple or len(rel) != 3:
+        raise DataError(f"relation {rel!r} is not a (label, box, box) triple")
+    return rel
 
 
 def _argument_fault(c: Unary | Binary, arg: str) -> str | None:
@@ -344,9 +351,7 @@ def _check(d: Drs) -> None:
             raise DataError(f"labels {fault[1]}: {bad}")
     relation_labels: set[str] = set()  # those that passed
     for rel in d.relations:
-        if type(rel) is not tuple or len(rel) != 3:
-            raise DataError(f"relation {rel!r} is not a (label, box, box) triple")
-        label, a, bb = rel
+        label, a, bb = _triple(rel)
         if label not in relation_labels:
             if not _is_keyword(label) or _SPACE_RE.search(label) or label in ("REF", *OPERATORS):
                 raise DataError(f"bad relation label {label!r}")

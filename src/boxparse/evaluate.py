@@ -11,9 +11,10 @@ starts seeded with 0, keeping the best, so a pair always gets one score.
 A climb's moves reassign one predicted symbol to a free gold symbol of its
 sort, or swap the images of two predicted symbols of one sort. Each move is
 scored by its delta: only the clauses that hold a moved symbol are renamed
-again. Unmapping a symbol is not a move, because its clauses would become
-placeholders that match no gold clause, so it can never gain. A report
-carries the search statistics: the moves applied and the moves scored.
+again. A map that renames clauses holds every symbol of its side, with
+None as the image of an unmapped one; no clause holds None, so unmapping a
+symbol can never gain and is not a move. A report carries the search
+statistics: the moves applied and the moves scored.
 """
 
 from __future__ import annotations
@@ -105,23 +106,19 @@ def to_clauses(d: Drs) -> ClauseSet:
         hash(out)  # the search counts clauses in dicts
     except (TypeError, AttributeError) as e:
         raise DataError(f"a field of the wrong type: {e}") from e
+    if any(None in c for c in out):  # None is the image of an unmapped symbol
+        raise DataError("a field of the wrong type: None")
     return ClauseSet(clauses=out, sorts=sorts)
 
 
-def rename_clause(clause: Clause, sorts: dict[str, str], mapping: dict[str, str]) -> Clause:
-    """Apply a (possibly partial) symbol map; unmapped symbols become
-    placeholders that can never match a gold token."""
+def rename_clause(clause: Clause, mapping: dict) -> Clause:
+    """Rename ``clause`` through a symbol map that holds every symbol of its
+    side: a symbol becomes its image, None if it has none, and a label or
+    constant, which the map does not hold, stays as it is."""
     out = []
     for tok in clause:
-        if tok in sorts:
-            out.append(mapping.get(tok, ("?", tok)))
-        else:
-            out.append(tok)
+        out.append(mapping.get(tok, tok))
     return tuple(out)
-
-
-def _clause_signature(clause: Clause, sorts: dict[str, str]) -> tuple:
-    return tuple(("SYM", sorts[tok]) if tok in sorts else tok for tok in clause)
 
 
 def _by_sort(sorts: dict[str, str]) -> dict[str, list[str]]:
@@ -133,14 +130,16 @@ def _by_sort(sorts: dict[str, str]) -> dict[str, list[str]]:
 
 def _smart_init(pred: ClauseSet, gold: ClauseSet) -> dict[str, str]:
     """Greedy seed: vote for symbol pairs implied by clauses whose fixed
-    parts already agree. Equal signatures pair symbols of one sort."""
+    parts already agree. Equal signatures, the clauses with each symbol
+    renamed to its sort, pair symbols of one sort."""
+    gold_sig = {s: ("SYM", sort) for s, sort in gold.sorts.items()}
+    pred_sig = {s: ("SYM", sort) for s, sort in pred.sorts.items()}
     gold_by_sig: dict[tuple, list[Clause]] = {}
     for c in gold.clauses:
-        gold_by_sig.setdefault(_clause_signature(c, gold.sorts), []).append(c)
+        gold_by_sig.setdefault(rename_clause(c, gold_sig), []).append(c)
     votes: Counter = Counter()
     for pc in pred.clauses:
-        sig = _clause_signature(pc, pred.sorts)
-        for gc in gold_by_sig.get(sig, ()):
+        for gc in gold_by_sig.get(rename_clause(pc, pred_sig), ()):
             for ptok, gtok in zip(pc, gc):
                 if ptok in pred.sorts:
                     votes[(ptok, gtok)] += 1
@@ -163,15 +162,6 @@ def _random_init(pred_by_sort: dict[str, list[str]], gold_by_sort: dict[str, lis
     return mapping
 
 
-def _assign(mapping: dict[str, str], change: dict) -> None:
-    """Apply a move in place; a symbol moved to None becomes unmapped."""
-    for s, g in change.items():
-        if g is None:
-            del mapping[s]
-        else:
-            mapping[s] = g
-
-
 def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
            pred_by_sort: dict[str, list[str]], gold_by_sort: dict[str, list[str]],
            touching: dict[str, set[int]]) -> tuple[dict[str, str], int, int, int]:
@@ -186,12 +176,14 @@ def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
     applying it in place, renaming only the clauses that ``touching`` says
     hold a moved symbol, and undoing it; its gain is the change in matched
     clauses from removing their old renamings and adding the new ones.
-    Unmapping a symbol alone is never proposed: it turns its clauses into
-    placeholders that match no gold clause, so it cannot gain.
+    Every predicted symbol is a key of the mapping, None if unmapped.
+    Unmapping a symbol alone is never proposed: its clauses would hold
+    None, which matches no gold clause, so it cannot gain.
     """
     clauses, sorts = pred.clauses, pred.sorts
-    current = dict(mapping)
-    renamed = [rename_clause(c, sorts, current) for c in clauses]
+    current = dict.fromkeys(sorts)
+    current.update(mapping)
+    renamed = [rename_clause(c, current) for c in clauses]
     counts = Counter(renamed)
     score = sum(min(n, gold_counts[c]) for c, n in counts.items())
     steps = evaluations = 0
@@ -201,7 +193,7 @@ def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
         moved = []
         delta: dict[Clause, int] = {}  # net change per renamed clause that gold holds
         for i in touched:
-            old, new = renamed[i], rename_clause(clauses[i], sorts, current)
+            old, new = renamed[i], rename_clause(clauses[i], current)
             moved.append((i, new))
             if old in gold_counts:
                 delta[old] = delta.get(old, 0) - 1
@@ -219,25 +211,25 @@ def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
         used = set(current.values())
         for p in psyms:
             sort = sorts[p]
-            image = current.get(p)
+            image = current[p]
             # reassign p to a free gold symbol, or swap images with a later
             # predicted symbol of its sort, where one image may be None
             moves = [({p: g}, touching[p]) for g in gold_by_sort.get(sort, ())
                      if g not in used]
-            moves += [({p: current.get(q), q: image}, touching[p] | touching[q])
-                      for q in pred_by_sort[sort] if q > p and current.get(q) != image]
+            moves += [({p: current[q], q: image}, touching[p] | touching[q])
+                      for q in pred_by_sort[sort] if q > p and current[q] != image]
             evaluations += len(moves)
             for change, touched in moves:
-                undo = {s: current.get(s) for s in change}
-                _assign(current, change)
+                undo = {s: current[s] for s in change}
+                current.update(change)
                 moved, gain = rename_touched(touched)
-                _assign(current, undo)
+                current.update(undo)
                 if gain > best_gain:
                     best_gain, best_move = gain, (change, moved)
         if best_move is None:
             return current, score, steps, evaluations
         change, moved = best_move
-        _assign(current, change)
+        current.update(change)
         for i, new in moved:
             counts[renamed[i]] -= 1
             counts[new] += 1
@@ -271,7 +263,8 @@ def best_alignment(pred: ClauseSet, gold: ClauseSet) -> tuple[Alignment, int]:
         evaluations += n_evaluations
         if score > best_score:
             best_map, best_score = mapping, score
-    return Alignment(mapping=best_map, climb_steps=steps, evaluations=evaluations), best_score
+    return Alignment(mapping={p: g for p, g in best_map.items() if g is not None},
+                     climb_steps=steps, evaluations=evaluations), best_score
 
 
 def score(pred: Drs, gold: Drs, lexical_labels: frozenset[str] | None = None) -> ScoreReport:
@@ -328,8 +321,8 @@ def category_breakdown(pred: ClauseSet, gold: ClauseSet, alignment: Alignment,
     counts sum to the pair's."""
     pred_cats = [categorize_clause(c, pred.sorts, lexical_labels) for c in pred.clauses]
     gold_cats = [categorize_clause(c, gold.sorts, lexical_labels) for c in gold.clauses]
-    renamed = Counter(zip(pred_cats, (rename_clause(c, pred.sorts, alignment.mapping)
-                                      for c in pred.clauses)))
+    mapping = {s: alignment.mapping.get(s) for s in pred.sorts}
+    renamed = Counter(zip(pred_cats, (rename_clause(c, mapping) for c in pred.clauses)))
     gold_counts = Counter(zip(gold_cats, gold.clauses))
     matched = Counter()
     for (cat, c), n in renamed.items():

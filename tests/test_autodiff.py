@@ -77,8 +77,11 @@ class TestForwardOps:
         with pytest.raises(ShapeError):
             ad.backward(ad.tensor(np.ones(2)))
 
-    @pytest.mark.parametrize("data", ["a", [[1], [1, 2]], None, [1.0, None], 1j],
-                             ids=["string", "ragged", "none", "none_in_list", "complex"])
+    @pytest.mark.parametrize("data", [
+        "a", [[1], [1, 2]], None, [1.0, None], 1j, np.array([1j]), ["1.5"], np.array(["2"]),
+        [b"1"], np.datetime64("2020-01-01"), np.array([1, 2], dtype="timedelta64[s]"),
+    ], ids=["string", "ragged", "none", "none_in_list", "complex", "complex_array",
+            "number_string", "number_string_array", "bytes", "datetime", "timedelta"])
     def test_data_that_is_no_float_array_raises_shape_error(self, data):
         with pytest.raises(ShapeError):
             ad.tensor(data)
@@ -104,6 +107,31 @@ class TestForwardOps:
             ad.softmax(ad.tensor(logits))
         with pytest.raises(NumericError, match="largest"):
             ad.softmax_cross_entropy(ad.tensor(logits), 1)
+
+    def test_logit_spread_that_overflows_gives_zero_probability(self):
+        p = ad.softmax(ad.tensor([1e308, -1e308]))
+        assert np.array_equal(p.data, [1.0, 0.0])
+        assert float(ad.softmax_cross_entropy(ad.tensor([1e308, -1e308]), 0).data) == 0.0
+
+    @pytest.mark.parametrize("logits, loss", [([800.0, 0.0], 800.0), ([0.0, -800.0], 800.0),
+                                              ([800.0, 0.0, 800.0], 800.0 - np.log(0.5)),
+                                              ([745.0, 0.0], 745.0), ([740.0, 0.0], 740.0)],
+                             ids=["zero", "zero_negative", "zero_two_largest",
+                                  "subnormal", "subnormal_more_digits"])
+    def test_target_whose_probability_underflows_gets_its_finite_loss(self, logits, loss):
+        logits = ad.tensor(logits, requires_grad=True)
+        out = ad.softmax_cross_entropy(logits, 1)
+        assert float(out.data) == pytest.approx(loss, rel=1e-15)
+        ad.backward(out)
+        assert logits.grad[1] == -1.0
+
+    def test_loss_of_a_spread_that_overflows_raises_numeric_error(self):
+        with pytest.raises(NumericError, match="cross-entropy"):
+            ad.softmax_cross_entropy(ad.tensor([1e308, -1e308]), 1)
+
+    def test_masked_out_target_raises_shape_error(self):
+        with pytest.raises(ShapeError, match="masked out"):
+            ad.softmax_cross_entropy(ad.tensor([800.0, 0.0]), 1, mask=[True, False])
 
     def test_masked_out_nan_logit_is_ignored(self):
         p = ad.softmax(ad.tensor([np.nan, 1.0, 1.0]), mask=[False, True, True])

@@ -1,6 +1,7 @@
 import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -657,8 +658,10 @@ class TestValidate:
                                           ("CONTINUATION", "b2", "b3", "b2"), None])
     def test_relation_that_is_not_a_triple(self, fig1_drs, relation):
         d = Drs(fig1_drs.boxes, (relation,))
-        with pytest.raises(DataError, match="not a .label, box, box. triple"):
-            validate(d)
+        # top and format_clauses do not validate, but read the same shape rule
+        for read in (validate, attrgetter("top"), format_clauses):
+            with pytest.raises(DataError, match="not a .label, box, box. triple"):
+                read(d)
 
     @pytest.mark.parametrize("condition", ["dog", ("dog", "x1"), None])
     def test_condition_of_no_condition_class(self, condition):

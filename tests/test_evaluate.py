@@ -11,7 +11,14 @@ from helpers import (
     small_drs_for_alignment,
 )
 
-from boxparse.drs import canonicalize_variables, parse_clauses, strip_senses
+from boxparse.drs import (
+    Box,
+    Drs,
+    Unary,
+    canonicalize_variables,
+    parse_clauses,
+    strip_senses,
+)
 from boxparse.errors import DataError
 from boxparse.evaluate import (
     Alignment,
@@ -20,11 +27,18 @@ from boxparse.evaluate import (
     categorize_clause,
     category_breakdown,
     micro_average,
+    rename_clause,
     score,
     to_clauses,
 )
 
 FIG1_LEXICAL = frozenset({"sit_down", "open", "laptop"})
+# (matched, climb_steps, evaluations) of best_alignment on scored_pair seeds
+# 0-9, and their sums over seeds 0-199: a change to the search's moves,
+# starts or order of trying them shows here
+PINNED_SEARCH = [(2, 0, 0), (2, 0, 0), (9, 38, 348), (4, 3, 69), (6, 0, 0), (5, 0, 0),
+                 (9, 37, 399), (1, 16, 225), (6, 43, 819), (8, 31, 257)]
+PINNED_SEARCH_SUMS = (1056, 4658, 89775)
 
 
 def renamed_copy(d):
@@ -89,6 +103,12 @@ class TestToClauses:
             except DataError:
                 pass
 
+    def test_none_field_raises_data_error(self):
+        # None is the image of an unmapped symbol, so no clause may hold it
+        gold = Drs((Box("b1", (), (Unary("dog", None),)),))
+        with pytest.raises(DataError, match="None"):
+            score(parse_clauses("b1 REF x1\nb1 dog x1\n"), gold)
+
     def test_injective_up_to_renaming(self, rng):
         seen = {}
         for _ in range(40):
@@ -97,6 +117,16 @@ class TestToClauses:
             if key in seen:
                 assert seen[key] == canonicalize_variables(d)
             seen[key] = canonicalize_variables(d)
+
+
+class TestRenameClause:
+    def test_labels_and_constants_stay_and_an_unmapped_symbol_becomes_none(self):
+        mapping = {"b1": "b7", "b2": None, "x1": "x3", "x2": None}
+        assert rename_clause(("b1", "Agent", "x1", '"speaker"'), mapping) == \
+            ("b7", "Agent", "x3", '"speaker"')
+        assert rename_clause(("b1", "see", "x2"), mapping) == ("b7", "see", None)
+        assert rename_clause(("REL", "CONTINUATION", "b1", "b2"), mapping) == \
+            ("REL", "CONTINUATION", "b7", None)
 
 
 class TestBestAlignment:
@@ -139,6 +169,15 @@ class TestBestAlignment:
         alignment, matched = best_alignment(pred, gold)
         assert matched == oracle_match_count(pred.clauses, pred.sorts, gold.clauses,
                                              alignment.mapping)
+
+    def test_search_is_pinned(self):
+        def run(seed):
+            alignment, matched = best_alignment(*scored_pair(seed))
+            return matched, alignment.climb_steps, alignment.evaluations
+
+        runs = [run(seed) for seed in range(200)]
+        assert runs[:10] == PINNED_SEARCH
+        assert tuple(map(sum, zip(*runs))) == PINNED_SEARCH_SUMS
 
     def test_alignment_is_injective(self):
         with pytest.raises(DataError):
@@ -241,8 +280,6 @@ class TestCategoryBreakdown:
             assert sum(r.n_predicted for r in cats.values()) == len(cs)
 
     def test_missing_relation_zeroes_operator_recall(self, fig1_drs):
-        from boxparse.drs import Drs
-
         gold = strip_senses(fig1_drs)
         # identical except the relation clause is gone
         pred = Drs(boxes=gold.boxes, relations=())
