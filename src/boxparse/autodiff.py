@@ -40,6 +40,7 @@ not test for it.
 
 from __future__ import annotations
 
+import sys
 from itertools import count
 from operator import attrgetter, index as _as_index
 
@@ -348,11 +349,8 @@ def _masked_softmax(logits: np.ndarray, mask) -> np.ndarray:
     top = z.max()
     if not np.isfinite(top):  # a NaN or +inf logit, or all -inf
         raise NumericError(f"softmax of logits whose largest is {top}")
-    if top < 2.0 ** 969:  # then no finite logit minus top can overflow
+    with np.errstate(over="ignore"):  # a logit far below top gives -inf: exp 0
         e = z - top  # a new array, so the steps below may work in place
-    else:  # a logit far below top may give -inf, whose exp is 0 anyway
-        with np.errstate(over="ignore"):
-            e = z - top
     np.exp(e, out=e)
     e /= e.sum()
     return e
@@ -377,9 +375,9 @@ def softmax_cross_entropy(logits: Tensor, target: int, mask=None) -> Tensor:
         raise ShapeError("softmax_cross_entropy expects 1D logits")
     target = _index(target, logits.data.shape[0], "target")
     p = _masked_softmax(logits.data, mask)
-    if p[target] >= 2.2250738585072014e-308:  # the smallest normal float
+    if p[target] >= sys.float_info.min:
         loss = -np.log(p[target])
-    elif mask is not None and not np.asarray(mask, dtype=bool)[target]:
+    elif mask is not None and not mask[target]:
         raise ShapeError("target position is masked out")
     else:
         # p[target] underflows, to 0 or to a float with few digits, so take

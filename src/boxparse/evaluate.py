@@ -12,9 +12,9 @@ A climb's moves reassign one predicted symbol to a free gold symbol of its
 sort, or swap the images of two predicted symbols of one sort. Each move is
 scored by its delta: only the clauses that hold a moved symbol are renamed
 again. A map that renames clauses holds every symbol of its side, with
-None as the image of an unmapped one; no clause holds None, so unmapping a
-symbol can never gain and is not a move. A report carries the search
-statistics: the moves applied and the moves scored.
+``_UNMAPPED`` as the image of an unmapped one; no clause holds it, so
+unmapping a symbol can never gain and is not a move. A report carries the
+search statistics: the moves applied and the moves scored.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ Clause = tuple
 CATEGORIES = ("operators", "non_lexical_unary", "non_lexical_binary", "lexical")
 RESTARTS = 20  # climbs per pair: the greedy start, then random starts
 SEED = 0
+_UNMAPPED = object()  # the image of an unmapped symbol, equal to no token
 
 
 @dataclass(frozen=True)
@@ -106,15 +107,15 @@ def to_clauses(d: Drs) -> ClauseSet:
         hash(out)  # the search counts clauses in dicts
     except (TypeError, AttributeError) as e:
         raise DataError(f"a field of the wrong type: {e}") from e
-    if any(None in c for c in out):  # None is the image of an unmapped symbol
-        raise DataError("a field of the wrong type: None")
     return ClauseSet(clauses=out, sorts=sorts)
 
 
 def rename_clause(clause: Clause, mapping: dict) -> Clause:
     """Rename ``clause`` through a symbol map that holds every symbol of its
-    side: a symbol becomes its image, None if it has none, and a label or
-    constant, which the map does not hold, stays as it is."""
+    side: a symbol becomes its image, and a label or constant, which the map
+    does not hold, stays as it is. A partial map, such as
+    ``Alignment.mapping``, leaves an unmapped symbol as it is, so that it
+    may match a clause of the other side that spells it alike."""
     out = []
     for tok in clause:
         out.append(mapping.get(tok, tok))
@@ -176,12 +177,12 @@ def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
     applying it in place, renaming only the clauses that ``touching`` says
     hold a moved symbol, and undoing it; its gain is the change in matched
     clauses from removing their old renamings and adding the new ones.
-    Every predicted symbol is a key of the mapping, None if unmapped.
-    Unmapping a symbol alone is never proposed: its clauses would hold
-    None, which matches no gold clause, so it cannot gain.
+    Every predicted symbol is a key of the mapping, ``_UNMAPPED`` if
+    unmapped. Unmapping a symbol alone is never proposed: its clauses would
+    hold ``_UNMAPPED``, which matches no gold clause, so it cannot gain.
     """
     clauses, sorts = pred.clauses, pred.sorts
-    current = dict.fromkeys(sorts)
+    current = dict.fromkeys(sorts, _UNMAPPED)
     current.update(mapping)
     renamed = [rename_clause(c, current) for c in clauses]
     counts = Counter(renamed)
@@ -213,7 +214,7 @@ def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
             sort = sorts[p]
             image = current[p]
             # reassign p to a free gold symbol, or swap images with a later
-            # predicted symbol of its sort, where one image may be None
+            # predicted symbol of its sort, where one image may be _UNMAPPED
             moves = [({p: g}, touching[p]) for g in gold_by_sort.get(sort, ())
                      if g not in used]
             moves += [({p: current[q], q: image}, touching[p] | touching[q])
@@ -263,7 +264,7 @@ def best_alignment(pred: ClauseSet, gold: ClauseSet) -> tuple[Alignment, int]:
         evaluations += n_evaluations
         if score > best_score:
             best_map, best_score = mapping, score
-    return Alignment(mapping={p: g for p, g in best_map.items() if g is not None},
+    return Alignment(mapping={p: g for p, g in best_map.items() if g is not _UNMAPPED},
                      climb_steps=steps, evaluations=evaluations), best_score
 
 
@@ -321,7 +322,7 @@ def category_breakdown(pred: ClauseSet, gold: ClauseSet, alignment: Alignment,
     counts sum to the pair's."""
     pred_cats = [categorize_clause(c, pred.sorts, lexical_labels) for c in pred.clauses]
     gold_cats = [categorize_clause(c, gold.sorts, lexical_labels) for c in gold.clauses]
-    mapping = {s: alignment.mapping.get(s) for s in pred.sorts}
+    mapping = {s: alignment.mapping.get(s, _UNMAPPED) for s in pred.sorts}
     renamed = Counter(zip(pred_cats, (rename_clause(c, mapping) for c in pred.clauses)))
     gold_counts = Counter(zip(gold_cats, gold.clauses))
     matched = Counter()

@@ -11,14 +11,7 @@ from helpers import (
     small_drs_for_alignment,
 )
 
-from boxparse.drs import (
-    Box,
-    Drs,
-    Unary,
-    canonicalize_variables,
-    parse_clauses,
-    strip_senses,
-)
+from boxparse.drs import Drs, canonicalize_variables, parse_clauses, strip_senses
 from boxparse.errors import DataError
 from boxparse.evaluate import (
     Alignment,
@@ -103,12 +96,6 @@ class TestToClauses:
             except DataError:
                 pass
 
-    def test_none_field_raises_data_error(self):
-        # None is the image of an unmapped symbol, so no clause may hold it
-        gold = Drs((Box("b1", (), (Unary("dog", None),)),))
-        with pytest.raises(DataError, match="None"):
-            score(parse_clauses("b1 REF x1\nb1 dog x1\n"), gold)
-
     def test_injective_up_to_renaming(self, rng):
         seen = {}
         for _ in range(40):
@@ -120,13 +107,16 @@ class TestToClauses:
 
 
 class TestRenameClause:
-    def test_labels_and_constants_stay_and_an_unmapped_symbol_becomes_none(self):
-        mapping = {"b1": "b7", "b2": None, "x1": "x3", "x2": None}
+    def test_labels_and_constants_stay_and_a_symbol_becomes_its_image(self):
+        unmapped = object()  # the scorer's maps give an unmapped symbol such an image
+        mapping = {"b1": "b7", "b2": unmapped, "x1": "x3", "x2": unmapped}
         assert rename_clause(("b1", "Agent", "x1", '"speaker"'), mapping) == \
             ("b7", "Agent", "x3", '"speaker"')
-        assert rename_clause(("b1", "see", "x2"), mapping) == ("b7", "see", None)
+        assert rename_clause(("b1", "see", "x2"), mapping) == ("b7", "see", unmapped)
         assert rename_clause(("REL", "CONTINUATION", "b1", "b2"), mapping) == \
-            ("REL", "CONTINUATION", "b7", None)
+            ("REL", "CONTINUATION", "b7", unmapped)
+        # a partial map leaves a symbol it does not hold as it is
+        assert rename_clause(("b1", "see", "x2"), {"b1": "b7"}) == ("b7", "see", "x2")
 
 
 class TestBestAlignment:
