@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -176,6 +176,19 @@ _set_id, _set_referents, _set_conditions = (
     Box.id.__set__, Box.referents.__set__, Box.conditions.__set__)
 
 
+def _fields_checked(fn):
+    """``fn`` raising DataError where a field of the wrong type makes it
+    raise TypeError or AttributeError, as it hashes the field, reads it as
+    a str or reads its attributes; valid input pays one call."""
+    @wraps(fn)
+    def checked(d):
+        try:
+            return fn(d)
+        except (TypeError, AttributeError) as e:
+            raise DataError(f"a field of the wrong type: {e}") from e
+    return checked
+
+
 @dataclass(frozen=True)
 class Drs:
     boxes: tuple[Box, ...]
@@ -187,6 +200,7 @@ class Drs:
         return self._nesting[0]
 
     @cached_property
+    @_fields_checked
     def _nesting(self) -> tuple[str | None, dict[str, str]]:
         """The top and each embedded box's parent: the box whose operator
         embeds it, or the top for a relation constituent. Operator embedding
@@ -211,6 +225,7 @@ class Drs:
         return top, parents
 
     @cached_property
+    @_fields_checked
     def _by_id(self) -> dict[str, Box]:
         # reversed, so that the first of several boxes sharing an id wins
         return {b.id: b for b in reversed(self.boxes)}
@@ -222,13 +237,9 @@ class Drs:
             raise DataError(f"no box {box_id!r}") from None
 
     @cached_property
+    @_fields_checked
     def _valid(self) -> bool:
-        try:
-            _check(self)  # raises, and then nothing is cached
-        except (TypeError, AttributeError) as e:
-            # a field of the wrong type fails where _check hashes it, reads
-            # it as a str or reads its attributes, at no cost to valid input
-            raise DataError(f"a field of the wrong type: {e}") from e
+        _check(self)  # raises, and then nothing is cached
         return True
 
 
@@ -594,12 +605,19 @@ def format_clauses(doc: ClauseDocument | Drs) -> str:
             raise DataError(
                 f"alignment predicate {rec.predicate!r} is empty or holds whitespace")
         out.append(f"% {rec.token} {rec.predicate}" + (" head" if rec.head else ""))
+    out.extend(_drs_lines(d))
+    return "\n".join(out) + "\n"
+
+
+@_fields_checked
+def _drs_lines(d: Drs) -> list[str]:
     top = d.top
+    out: list[str] = []
     for box in d.boxes:
         if box.id == top:  # the top hosts the relations, first in its block
             out.extend(f"{top} {label} {a} {b}" for label, a, b in d.relations)
         out.extend(map(" ".join, box_clauses(box)))
-    return "\n".join(out) + "\n"
+    return out
 
 
 # ---------------------------------------------------------------------------

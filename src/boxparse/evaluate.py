@@ -15,6 +15,14 @@ again. A map that renames clauses holds every symbol of its side, with
 ``_UNMAPPED`` as the image of an unmapped one; no clause holds it, so
 unmapping a symbol can never gain and is not a move. A report carries the
 search statistics: the moves applied and the moves scored.
+
+A climb's path depends on nothing but the mapping it stands at, so a climb
+that starts at, or steps onto, a mapping an earlier climb of the same pair
+passed is not run again: it takes that climb's outcome from a memo. The
+memo lives for one ``best_alignment`` call and is never shared across
+pairs or documents. A recalled climb still counts the moves it would have
+applied and scored, so the statistics and the result are those of 20 climbs
+run in full.
 """
 
 from __future__ import annotations
@@ -165,7 +173,7 @@ def _random_init(pred_by_sort: dict[str, list[str]], gold_by_sort: dict[str, lis
 
 def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
            pred_by_sort: dict[str, list[str]], gold_by_sort: dict[str, list[str]],
-           touching: dict[str, set[int]]) -> tuple[dict[str, str], int, int, int]:
+           touching: dict[str, set[int]], memo: dict) -> tuple[dict[str, str], int, int, int]:
     """Steepest ascent: apply the single reassignment or swap with the
     largest gain until none gains; the first of equal gains wins. Each step
     matches at least one more clause, so a climb ends within ``len(pred)``
@@ -180,14 +188,26 @@ def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
     Every predicted symbol is a key of the mapping, ``_UNMAPPED`` if
     unmapped. Unmapping a symbol alone is never proposed: its clauses would
     hold ``_UNMAPPED``, which matches no gold clause, so it cannot gain.
+
+    A state, the images of the predicted symbols in the order of
+    ``pred.sorts``, fixes the rest of the climb. So ``memo`` maps each state
+    passed to the climb's outcome from it: the final mapping and count, and
+    the steps and moves scored from there on. A climb that starts or
+    arrives at a state in ``memo`` takes that outcome, adding its steps and
+    moves to its own, and on ending fills in every state it passed.
     """
     clauses, sorts = pred.clauses, pred.sorts
     current = dict.fromkeys(sorts, _UNMAPPED)
     current.update(mapping)
+    # a tuple of a dict view is allocated once at its size; one grown from a
+    # generator, at every step of every climb, leaves the heap fragmented
+    state = tuple(current.values())
+    if state in memo:
+        return memo[state]
     renamed = [rename_clause(c, current) for c in clauses]
     counts = Counter(renamed)
     score = sum(min(n, gold_counts[c]) for c, n in counts.items())
-    steps = evaluations = 0
+    path = []  # (state, moves scored there) for each state a step left
 
     def rename_touched(touched: set[int]) -> tuple[list[tuple[int, Clause]], int]:
         # the touched clauses renamed under ``current``, and the gain over ``renamed``
@@ -210,6 +230,7 @@ def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
     while True:
         best_gain, best_move = 0, None
         used = set(current.values())
+        scored = 0  # moves scored at this state
         for p in psyms:
             sort = sorts[p]
             image = current[p]
@@ -219,7 +240,7 @@ def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
                      if g not in used]
             moves += [({p: current[q], q: image}, touching[p] | touching[q])
                       for q in pred_by_sort[sort] if q > p and current[q] != image]
-            evaluations += len(moves)
+            scored += len(moves)
             for change, touched in moves:
                 undo = {s: current[s] for s in change}
                 current.update(change)
@@ -228,7 +249,9 @@ def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
                 if gain > best_gain:
                     best_gain, best_move = gain, (change, moved)
         if best_move is None:
-            return current, score, steps, evaluations
+            outcome = memo[state] = current, score, 0, scored
+            break
+        path.append((state, scored))
         change, moved = best_move
         current.update(change)
         for i, new in moved:
@@ -236,7 +259,15 @@ def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
             counts[new] += 1
             renamed[i] = new
         score += best_gain
-        steps += 1
+        state = tuple(current.values())
+        if state in memo:
+            outcome = memo[state]
+            break
+    final, final_score, steps, evaluations = outcome
+    for passed, scored in reversed(path):
+        steps, evaluations = steps + 1, evaluations + scored
+        memo[passed] = final, final_score, steps, evaluations
+    return final, final_score, steps, evaluations
 
 
 def best_alignment(pred: ClauseSet, gold: ClauseSet) -> tuple[Alignment, int]:
@@ -244,7 +275,12 @@ def best_alignment(pred: ClauseSet, gold: ClauseSet) -> tuple[Alignment, int]:
 
     The returned count is a lower bound on the true optimum; on small
     symbol sets the greedy start plus random restarts reach it. The
-    alignment carries the search statistics summed over all climbs.
+    alignment carries the search statistics summed over all climbs. A
+    climb that repeats part of an earlier one is recalled from a memo of
+    climb states, which lives for this one call and so is never shared
+    across pairs or documents; a recalled climb counts the steps and moves
+    it would have made, so the statistics are those of every climb run in
+    full.
     """
     gold_counts = Counter(gold.clauses)
     pred_by_sort, gold_by_sort = _by_sort(pred.sorts), _by_sort(gold.sorts)
@@ -254,12 +290,13 @@ def best_alignment(pred: ClauseSet, gold: ClauseSet) -> tuple[Alignment, int]:
             if tok in touching:
                 touching[tok].add(i)
     rng = np.random.default_rng(SEED)
+    memo: dict = {}  # climb state -> outcome, see _climb
     best_map, best_score, steps, evaluations = {}, -1, 0, 0
     for restart in range(RESTARTS):
         start = (_random_init(pred_by_sort, gold_by_sort, rng) if restart
                  else _smart_init(pred, gold))
         mapping, score, n_steps, n_evaluations = _climb(
-            pred, gold_counts, start, pred_by_sort, gold_by_sort, touching)
+            pred, gold_counts, start, pred_by_sort, gold_by_sort, touching, memo)
         steps += n_steps
         evaluations += n_evaluations
         if score > best_score:

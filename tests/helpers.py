@@ -207,6 +207,12 @@ WRONG_TYPES = {
                                 _dog("b2", "x2"))),
     "box_list_referents": Drs((Box("b1", ["x1"], (Unary("dog", "x1"),)),)),
     "list_of_boxes": Drs([_dog("b1", "x1")]),
+    # a list where a box id goes, which the nesting puts in a dict
+    "relation_list_box": Drs((_dog("b1", "x1"), _dog("b2", "x2"), _dog("b3", "x3")),
+                             (("CONTINUATION", ["b2"], "b3"),)),
+    "operator_list_box": Drs((Box("b1", ("x1",), (Unary("dog", "x1"), Operator("NOT", (["b2"],)))),
+                              _dog("b2", "x2"))),
+    "list_box_id": Drs((Box(["b1"], ("x1",), (Unary("dog", "x1"),)), _dog("b2", "x2"))),
 }
 
 

@@ -497,6 +497,16 @@ class TestValidate:
         with pytest.raises(DataError):
             validate(d)
 
+    @pytest.mark.parametrize("d", WRONG_TYPES.values(), ids=WRONG_TYPES)
+    def test_wrong_typed_field_unvalidated_reads_or_raises_data_error(self, d):
+        # the top, the box lookup and the clause text do not validate
+        for read in (lambda: d.top, lambda: d.box("b1"), lambda: d.box("b2"),
+                     lambda: format_clauses(d)):
+            try:
+                read()
+            except DataError:
+                pass
+
     def test_random_drs_validate(self, rng):
         for _ in range(30):
             d = random_drs(rng)

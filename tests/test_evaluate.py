@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,16 @@ from helpers import (
     small_drs_for_alignment,
 )
 
+from boxparse import evaluate as evaluate_module
 from boxparse.drs import Drs, canonicalize_variables, parse_clauses, strip_senses
 from boxparse.errors import DataError
 from boxparse.evaluate import (
+    _UNMAPPED,
     Alignment,
     ClauseSet,
+    _by_sort,
+    _climb,
+    _random_init,
     best_alignment,
     categorize_clause,
     category_breakdown,
@@ -177,6 +184,54 @@ class TestBestAlignment:
         empty = ClauseSet(clauses=(), sorts={})
         _, matched = best_alignment(empty, empty)
         assert matched == 0
+
+
+def climb_args(pred, gold):
+    """The per-pair arguments that best_alignment gives each climb."""
+    touching = {s: {i for i, c in enumerate(pred.clauses) if s in c} for s in pred.sorts}
+    return Counter(gold.clauses), _by_sort(pred.sorts), _by_sort(gold.sorts), touching
+
+
+class TestClimbMemo:
+    # scored_pair seeds whose search takes many steps (PINNED_SEARCH)
+    SEEDS = [2, 6, 7, 8, 9]
+
+    @staticmethod
+    def first_climb(seed):
+        """A climb from a random start of a pair, its memo and its outcome,
+        and the climb to run again."""
+        pred, gold = scored_pair(seed)
+        gold_counts, pred_by_sort, gold_by_sort, touching = climb_args(pred, gold)
+        start = _random_init(pred_by_sort, gold_by_sort, np.random.default_rng(seed))
+
+        def climb(mapping, memo):
+            return _climb(pred, gold_counts, mapping, pred_by_sort, gold_by_sort, touching, memo)
+
+        memo = {}
+        outcome = climb(start, memo)
+        assert outcome[2] > 0  # steps, so the climb passed states partway
+        return climb, start, memo, outcome
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_climb_from_a_start_in_the_memo_renames_nothing(self, seed, monkeypatch):
+        climb, start, memo, outcome = self.first_climb(seed)
+
+        def no_renaming(*args):
+            raise AssertionError("a recalled climb renamed a clause")
+
+        monkeypatch.setattr(evaluate_module, "rename_clause", no_renaming)
+        assert climb(start, memo) == outcome
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_climb_from_a_state_passed_partway_runs_as_with_no_memo(self, seed):
+        climb, start, memo, _ = self.first_climb(seed)
+        psyms = list(scored_pair(seed)[0].sorts)  # a state's order
+        first = tuple(start.get(p, _UNMAPPED) for p in psyms)
+        passed = [state for state in memo if state != first]
+        assert passed
+        for state in passed:
+            mapping = dict(zip(psyms, state))
+            assert climb(mapping, memo) == climb(mapping, {})
 
 
 class TestScore:
