@@ -28,13 +28,21 @@ by blank lines.
 All values are immutable; every operation returns a new structure. A Drs
 remembers that it passed ``validate``, and the label-only rewrites
 ``strip_senses`` and ``revert_predicates`` pass that on to their result.
+
+Construction rule: building a value, here or in ``tree``, raises
+``DataError`` unless each field is exactly of its annotated type; the items
+of a tuple of conditions and the length of a relation are left to
+``validate``. Unary, Binary and Operator check in ``__init__``. The other
+value types list their field types in ``_kinds`` for their metaclass to
+check, and the parser and the rewrites, which hold only parser tokens,
+build them through ``_build``, which skips the check.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -103,9 +111,32 @@ def _label_fault(label: str) -> tuple[str, str] | None:
     return None
 
 
+class _Checked(type):
+    """Calling a class checks the fields of the value built against ``_kinds``."""
+
+    def __call__(cls, *args, **kwargs):
+        value = super().__call__(*args, **kwargs)
+        for name, kind in cls._kinds.items():
+            if not _is(field := getattr(value, name), kind):
+                want = cls.__annotations__[name]
+                raise DataError(f"{cls.__name__}.{name} is {field!r}, not {want}")
+        return value
+
+
+def _is(value, kind) -> bool:
+    """Whether ``value`` is exactly a ``kind``, or for ``(item,)`` a tuple of ``item``s."""
+    if type(kind) is tuple:
+        return type(value) is tuple and all(_is(x, kind[0]) for x in value)
+    return type(value) is kind
+
+
+_build = type.__call__  # builds a value without the check, for parser tokens
+
 # The classes below are frozen, and their __init__ sets each slot through
 # its member descriptor: the frozen dataclass's own __init__ pays for
-# object.__setattr__ on every field, and a document builds thousands.
+# object.__setattr__ on every field, and a document builds thousands. The
+# condition classes check their fields there, on every path, as that costs
+# less than a metaclass would: it slows every isinstance test that fails.
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -114,6 +145,8 @@ class Unary:
     argument: str
 
     def __init__(self, predicate: str, argument: str):
+        if type(predicate) is not str or type(argument) is not str:
+            raise DataError(f"Unary fields are str, not {predicate!r} and {argument!r}")
         _set_predicate(self, predicate)
         _set_argument(self, argument)
 
@@ -129,6 +162,8 @@ class Binary:
     second: str
 
     def __init__(self, role: str, first: str, second: str):
+        if type(role) is not str or type(first) is not str or type(second) is not str:
+            raise DataError(f"Binary fields are str, not {role!r}, {first!r} and {second!r}")
         _set_role(self, role)
         _set_first(self, first)
         _set_second(self, second)
@@ -144,6 +179,9 @@ class Operator:
     boxes: tuple[str, ...]
 
     def __init__(self, op: str, boxes: tuple[str, ...]):
+        if type(op) is not str or type(boxes) is not tuple or not all(
+                type(b) is str for b in boxes):
+            raise DataError(f"Operator fields are a str and a tuple of str, not {op!r}, {boxes!r}")
         _set_op(self, op)
         _set_boxes(self, boxes)
 
@@ -152,10 +190,11 @@ Condition = Union[Unary, Binary, Operator]
 
 
 @dataclass(frozen=True, slots=True, init=False)
-class Box:
+class Box(metaclass=_Checked):
     id: str
     referents: tuple[str, ...] = ()
     conditions: tuple[Condition, ...] = ()
+    _kinds = {"id": str, "referents": (str,), "conditions": tuple}
 
     def __init__(self, id: str, referents: tuple[str, ...] = (),
                  conditions: tuple[Condition, ...] = ()):
@@ -176,23 +215,11 @@ _set_id, _set_referents, _set_conditions = (
     Box.id.__set__, Box.referents.__set__, Box.conditions.__set__)
 
 
-def _fields_checked(fn):
-    """``fn`` raising DataError where a field of the wrong type makes it
-    raise TypeError or AttributeError, as it hashes the field, reads it as
-    a str or reads its attributes; valid input pays one call."""
-    @wraps(fn)
-    def checked(d):
-        try:
-            return fn(d)
-        except (TypeError, AttributeError) as e:
-            raise DataError(f"a field of the wrong type: {e}") from e
-    return checked
-
-
 @dataclass(frozen=True)
-class Drs:
+class Drs(metaclass=_Checked):
     boxes: tuple[Box, ...]
     relations: tuple[tuple[str, str, str], ...] = ()
+    _kinds = {"boxes": (Box,), "relations": ((str,),)}
 
     @property
     def top(self) -> str | None:
@@ -200,7 +227,6 @@ class Drs:
         return self._nesting[0]
 
     @cached_property
-    @_fields_checked
     def _nesting(self) -> tuple[str | None, dict[str, str]]:
         """The top and each embedded box's parent: the box whose operator
         embeds it, or the top for a relation constituent. Operator embedding
@@ -214,7 +240,10 @@ class Drs:
                     if child in parents:
                         raise DataError(f"box {child} embedded under several operators")
                     parents[child] = b.id
-        constituents = dict.fromkeys(x for rel in self.relations for x in _triple(rel)[1:])
+        for rel in self.relations:
+            if len(rel) != 3:
+                raise DataError(f"relation {rel!r} is not a (label, box, box) triple")
+        constituents = dict.fromkeys(x for _label, a, b in self.relations for x in (a, b))
         for child in constituents:
             if child in parents:
                 raise DataError(
@@ -225,7 +254,6 @@ class Drs:
         return top, parents
 
     @cached_property
-    @_fields_checked
     def _by_id(self) -> dict[str, Box]:
         # reversed, so that the first of several boxes sharing an id wins
         return {b.id: b for b in reversed(self.boxes)}
@@ -237,17 +265,9 @@ class Drs:
             raise DataError(f"no box {box_id!r}") from None
 
     @cached_property
-    @_fields_checked
     def _valid(self) -> bool:
         _check(self)  # raises, and then nothing is cached
         return True
-
-
-def _triple(rel) -> tuple[str, str, str]:
-    """``rel``, if it has the shape of a relation; else raises DataError."""
-    if type(rel) is not tuple or len(rel) != 3:
-        raise DataError(f"relation {rel!r} is not a (label, box, box) triple")
-    return rel
 
 
 def _argument_fault(c: Unary | Binary, arg: str) -> str | None:
@@ -278,7 +298,7 @@ def _in_text_order(d: Drs) -> Drs:
     first = dict(zip(reversed(tokens), range(len(tokens) - 1, -1, -1)))  # token -> position
     boxes = tuple(sorted(d.boxes, key=lambda b: -1 if _hosts_line(d, b)
                          else first.get(b.id, len(tokens))))
-    return d if boxes == d.boxes else Drs(boxes, d.relations)
+    return d if boxes == d.boxes else _build(Drs, boxes, d.relations)
 
 
 def _hosts_line(d: Drs, b: Box) -> bool:
@@ -305,9 +325,7 @@ def validate(d: Drs) -> Drs:
     no symbol or keyword, with or without a sense suffix; relation labels
     are keywords other than REF and the operators; and every box hosts a
     clause or is named by one. A relation is a (label, box, box) triple and
-    a condition a Unary, Binary or Operator; every sequence is a tuple and
-    every label, symbol and id a str, as the parser gives them; any other
-    shape or type raises ``DataError``.
+    a condition a Unary, Binary or Operator.
 
     A Drs that passed is remembered, so checking it again costs nothing. A
     failure is not remembered: the same value raises again.
@@ -317,9 +335,6 @@ def validate(d: Drs) -> Drs:
 
 
 def _check(d: Drs) -> None:
-    # a list where the parser gives a tuple passes every other check
-    if type(d.boxes) is not tuple or type(d.relations) is not tuple:
-        raise DataError("a Drs holds a tuple of boxes and a tuple of relations")
     known = d._by_id
     if len(known) != len(d.boxes):
         raise DataError("duplicate box ids")
@@ -329,8 +344,6 @@ def _check(d: Drs) -> None:
     for b in d.boxes:
         if not is_box_id(b.id):
             raise DataError(f"bad box id {b.id!r}")
-        if type(b.referents) is not tuple or type(b.conditions) is not tuple:
-            raise DataError(f"box {b.id} does not hold tuples of referents and conditions")
         if b.presupposed:
             presupposed.add(b.id)
         for v in b.referents:
@@ -348,8 +361,8 @@ def _check(d: Drs) -> None:
                 if c.op not in OPERATORS:
                     raise UnknownOperator(f"unknown operator {c.op!r}")
                 want = 1 if c.op in UNARY_OPERATORS else 2
-                if type(c.boxes) is not tuple or len(c.boxes) != want:
-                    raise DataError(f"operator {c.op} takes a tuple of {want} box(es)")
+                if len(c.boxes) != want:
+                    raise DataError(f"operator {c.op} takes {want} box(es)")
                 for ref in c.boxes:
                     if ref not in known:
                         raise DataError(f"operator references unknown box {ref!r}")
@@ -360,9 +373,9 @@ def _check(d: Drs) -> None:
         if fault := _label_fault(label):
             bad = sorted(x for x in labels if _label_fault(x) == fault)
             raise DataError(f"labels {fault[1]}: {bad}")
+    top, parents = d._nesting  # which finds each relation a triple first
     relation_labels: set[str] = set()  # those that passed
-    for rel in d.relations:
-        label, a, bb = _triple(rel)
+    for label, a, bb in d.relations:
         if label not in relation_labels:
             if not _is_keyword(label) or _SPACE_RE.search(label) or label in ("REF", *OPERATORS):
                 raise DataError(f"bad relation label {label!r}")
@@ -370,7 +383,6 @@ def _check(d: Drs) -> None:
         for ref in (a, bb):
             if ref not in known:
                 raise DataError(f"relation {label} references unknown box {ref!r}")
-    top, parents = d._nesting
     if top is None:
         raise DataError("no top box: every box is presupposed or embedded")
     if embedded := sorted(p for p in presupposed if p in parents):
@@ -441,17 +453,19 @@ def _check(d: Drs) -> None:
 
 
 @dataclass(frozen=True)
-class AlignmentRecord:
+class AlignmentRecord(metaclass=_Checked):
     token: int
     predicate: str
     head: bool = False
+    _kinds = {"token": int, "predicate": str, "head": bool}
 
 
 @dataclass(frozen=True)
-class ClauseDocument:
+class ClauseDocument(metaclass=_Checked):
     drs: Drs
     alignments: tuple[AlignmentRecord, ...] = ()
     comments: tuple[str, ...] = ()
+    _kinds = {"drs": Drs, "alignments": (AlignmentRecord,), "comments": (str,)}
 
 
 _ALIGN_RE = re.compile(r"^%\s+(\d+)\s+(\S+)(\s+head)?\s*$")
@@ -478,8 +492,8 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
         if line.startswith("%"):
             m = _ALIGN_RE.match(line)
             if m:
-                alignments.append(AlignmentRecord(
-                    token=int(m.group(1)), predicate=m.group(2), head=bool(m.group(3))))
+                alignments.append(_build(AlignmentRecord, int(m.group(1)), m.group(2),
+                                         bool(m.group(3))))
             else:
                 comments.append(line[1:].strip())
             continue
@@ -541,15 +555,14 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
     for box_id in mentioned:
         hosted.setdefault(box_id, ([], []))
 
-    draft = Drs(tuple(Box(b, tuple(refs), tuple(conds)) for b, (refs, conds) in hosted.items()),
-                tuple(relations))
+    draft = _build(Drs, tuple(_build(Box, b, tuple(refs), tuple(conds))
+                              for b, (refs, conds) in hosted.items()), tuple(relations))
     top = draft.top  # with no top, validate says so
     for n, host in relation_hosts:
         if top is not None and host != top:
             raise DataError(f"line {n}: relation hosted at {host}, expected top box {top}")
     d = _in_text_order(draft)
-    return ClauseDocument(drs=validate(d), alignments=tuple(alignments),
-                          comments=tuple(comments))
+    return _build(ClauseDocument, validate(d), tuple(alignments), tuple(comments))
 
 
 def parse_clauses(text: str) -> Drs:
@@ -580,8 +593,10 @@ def box_clauses(box: Box) -> Iterator[tuple[str, ...]]:
             yield (box.id, c.predicate, c.argument)
         elif isinstance(c, Binary):
             yield (box.id, c.role, c.first, c.second)
-        else:
+        elif isinstance(c, Operator):
             yield (box.id, c.op, *c.boxes)
+        else:  # validate says so too
+            raise DataError(f"condition {c!r} in box {box.id} is not a Unary, Binary or Operator")
 
 
 def format_clauses(doc: ClauseDocument | Drs) -> str:
@@ -590,7 +605,7 @@ def format_clauses(doc: ClauseDocument | Drs) -> str:
     and alignment records. A comment or record that would read back as
     something else raises ``DataError``."""
     if isinstance(doc, Drs):
-        doc = ClauseDocument(drs=doc)
+        doc = _build(ClauseDocument, doc)
     d = doc.drs
     out: list[str] = []
     for c in doc.comments:
@@ -599,25 +614,18 @@ def format_clauses(doc: ClauseDocument | Drs) -> str:
             raise DataError(f"comment {c!r} would not read back as this comment")
         out.append(line)
     for rec in doc.alignments:
-        if type(rec.token) is not int or rec.token < 0:
+        if rec.token < 0:
             raise DataError(f"alignment token {rec.token!r} is not a whole number")
         if not rec.predicate or _SPACE_RE.search(rec.predicate):
             raise DataError(
                 f"alignment predicate {rec.predicate!r} is empty or holds whitespace")
         out.append(f"% {rec.token} {rec.predicate}" + (" head" if rec.head else ""))
-    out.extend(_drs_lines(d))
-    return "\n".join(out) + "\n"
-
-
-@_fields_checked
-def _drs_lines(d: Drs) -> list[str]:
     top = d.top
-    out: list[str] = []
     for box in d.boxes:
         if box.id == top:  # the top hosts the relations, first in its block
             out.extend(f"{top} {label} {a} {b}" for label, a, b in d.relations)
         out.extend(map(" ".join, box_clauses(box)))
-    return out
+    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -676,12 +684,12 @@ def merge_presuppositions(d: Drs) -> Drs:
         into[p] = target
         taken.setdefault(target, []).extend(group)
     known = d._by_id
-    boxes = tuple(b if b.id not in taken else Box(
-        b.id, sum((known[x].referents for x in taken[b.id]), b.referents),
+    boxes = tuple(b if b.id not in taken else _build(
+        Box, b.id, sum((known[x].referents for x in taken[b.id]), b.referents),
         sum((known[x].conditions for x in taken[b.id]), b.conditions))
         for b in d.boxes if b.id not in into)
     try:
-        return validate(_in_text_order(Drs(boxes, d.relations)))
+        return validate(_in_text_order(_build(Drs, boxes, d.relations)))
     except DataError as e:
         raise AmbiguousMerge(f"merging presupposed boxes broke accessibility: {e}") from e
 
@@ -694,11 +702,11 @@ def _relabelled(d: Drs, relabel) -> Drs:
     every such lemma, so no relabelling can make a valid DRS invalid.
     """
     boxes = tuple(
-        Box(b.id, b.referents,
-            tuple(Unary(relabel(c.predicate), c.argument) if isinstance(c, Unary) else c
-                  for c in b.conditions))
+        _build(Box, b.id, b.referents,
+               tuple(Unary(relabel(c.predicate), c.argument) if isinstance(c, Unary) else c
+                     for c in b.conditions))
         for b in d.boxes)
-    out = Drs(boxes, d.relations)
+    out = _build(Drs, boxes, d.relations)
     if "_valid" in d.__dict__:
         out.__dict__["_valid"] = True
     return out
@@ -716,9 +724,9 @@ def revert_predicates(d: Drs, annotation) -> tuple[Drs, int]:
     (sense-stripped) label appears in the alignment records. If several
     tokens align to one predicate the head-marked token wins, leftmost on
     ties. Lexical predicates with no alignment keep their label; the count
-    of such cases is returned alongside the new DRS. A lemma that is empty,
-    holds whitespace or is spelled like a symbol or a keyword raises
-    PairingError, since the clause format could not write it back.
+    of such cases is returned alongside the new DRS. A lemma that is no str,
+    is empty, holds whitespace or is spelled like a symbol or a keyword
+    raises PairingError, since the clause format could not write it back.
     """
     by_pred: dict[str, list[AlignmentRecord]] = {}
     for rec in annotation.alignments:
@@ -740,6 +748,8 @@ def revert_predicates(d: Drs, annotation) -> tuple[Drs, int]:
             raise PairingError(f"alignment token {chosen.token} of {predicate} is outside "
                                f"the {len(annotation.lemmas)} lemmas")
         lemma = annotation.lemmas[chosen.token]
+        if type(lemma) is not str:
+            raise PairingError(f"lemma {lemma!r} of {predicate} is not a str")
         if fault := _label_fault(lemma):
             raise PairingError(f"lemma {lemma!r} of {predicate} {fault[0]}")
         return lemma
@@ -747,40 +757,3 @@ def revert_predicates(d: Drs, annotation) -> tuple[Drs, int]:
     reverted = _relabelled(d, relabel)
     return reverted, warnings
 
-
-def canonicalize_variables(d: Drs) -> Drs:
-    """Rename variables to first-use order per sort (x1, x2, ...), and boxes
-    in document order to p1, p2, ... if presupposed and b1, b2, ... if not;
-    the result is metric-equivalent."""
-    counters = {s: 0 for s in (*VARIABLE_SORTS, "b", "p")}
-    box_map: dict[str, str] = {}
-    for b in d.boxes:
-        prefix = "p" if b.presupposed else "b"
-        counters[prefix] += 1
-        box_map[b.id] = f"{prefix}{counters[prefix]}"
-    var_map: dict[str, str] = {}
-
-    def rename_var(v: str) -> str:
-        if v not in var_map:
-            s = variable_sort(v)
-            counters[s] += 1
-            var_map[v] = f"{s}{counters[s]}"
-        return var_map[v]
-
-    def rename_arg(a: str) -> str:
-        return a if is_constant(a) else rename_var(a)
-
-    boxes = []
-    for b in d.boxes:
-        refs = tuple(rename_var(v) for v in b.referents)
-        conds: list[Condition] = []
-        for c in b.conditions:
-            if isinstance(c, Unary):
-                conds.append(Unary(c.predicate, rename_arg(c.argument)))
-            elif isinstance(c, Binary):
-                conds.append(Binary(c.role, rename_arg(c.first), rename_arg(c.second)))
-            else:
-                conds.append(Operator(c.op, tuple(box_map[x] for x in c.boxes)))
-        boxes.append(Box(id=box_map[b.id], referents=refs, conditions=tuple(conds)))
-    relations = tuple((label, box_map[a], box_map[bb]) for label, a, bb in d.relations)
-    return Drs(boxes=tuple(boxes), relations=relations)

@@ -59,9 +59,10 @@ class Alignment:
     evaluations: int = 0  # moves scored, over every climb of the search
 
     def __post_init__(self):
-        values = list(self.mapping.values())
-        if len(set(values)) != len(values):
-            raise DataError("alignment must be injective")
+        m = self.mapping
+        if (type(m) is not dict or not all(type(s) is str for s in (*m, *m.values()))
+                or len(set(m.values())) != len(m)):
+            raise DataError(f"an alignment maps str to str injectively, not {m!r}")
 
 
 @dataclass(slots=True)
@@ -101,21 +102,16 @@ def to_clauses(d: Drs) -> ClauseSet:
     the host out.
 
     ``d`` is not validated, so that a prediction with relations dropped
-    still scores; a field of the wrong type raises ``DataError``.
+    still scores.
     """
     clauses: list[Clause] = []
     sorts: dict[str, str] = {}
-    try:
-        for b in d.boxes:
-            sorts[b.id] = "b"
-            sorts.update((v, variable_sort(v)) for v in b.referents)
-            clauses.extend(box_clauses(b))
-        clauses.extend(("REL", *r) for r in d.relations)
-        out = tuple(clauses)
-        hash(out)  # the search counts clauses in dicts
-    except (TypeError, AttributeError) as e:
-        raise DataError(f"a field of the wrong type: {e}") from e
-    return ClauseSet(clauses=out, sorts=sorts)
+    for b in d.boxes:
+        sorts[b.id] = "b"
+        sorts.update((v, variable_sort(v)) for v in b.referents)
+        clauses.extend(box_clauses(b))
+    clauses.extend(("REL", *r) for r in d.relations)
+    return ClauseSet(clauses=tuple(clauses), sorts=sorts)
 
 
 def rename_clause(clause: Clause, mapping: dict) -> Clause:

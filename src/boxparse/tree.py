@@ -19,6 +19,9 @@ immutable, so equal leaves within one tree may be a single shared object:
 
 Linearization is PTB-style: ``(LABEL`` opens an internal node, ``)``
 closes it, leaves stand alone, tokens are space-separated.
+
+``Node``, ``DrsTree`` and ``LinearSeq`` follow the construction rule in the
+``drs`` module docstring, and the conversions here build through ``_build``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from .drs import (
     Drs,
     Operator,
     Unary,
+    _build,
+    _Checked,
     _in_text_order,
     is_variable,
     validate,
@@ -42,11 +47,11 @@ from .errors import DataError, EmptyInput, MalformedSequence, MalformedTree, Unb
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
-class Node:
+class Node(metaclass=_Checked):
     label: str
-    children: tuple["Node", ...] = ()
+    children: tuple[Node, ...] = ()
 
-    def __init__(self, label: str, children: tuple["Node", ...] = ()):
+    def __init__(self, label: str, children: tuple[Node, ...] = ()):
         # through the slot descriptors: the frozen dataclass's own __init__
         # pays for object.__setattr__ on every field
         _set_label(self, label)
@@ -94,34 +99,27 @@ class Node:
 
 _set_label = Node.label.__set__
 _set_children = Node.children.__set__
+Node._kinds = {"label": str, "children": (Node,)}
 
 
 class _Leaves(dict):
     """Label -> the one leaf node with that label, built on first use."""
 
     def __missing__(self, label: str) -> Node:
-        node = self[label] = Node(label)
+        node = self[label] = _build(Node, label)
         return node
 
 
 @dataclass(frozen=True)
-class DrsTree:
+class DrsTree(metaclass=_Checked):
     root: Node
+    _kinds = {"root": Node}
 
 
 @dataclass(frozen=True)
-class LinearSeq:
+class LinearSeq(metaclass=_Checked):
     tokens: tuple[str, ...]
-
-
-def count_nodes(t: DrsTree) -> int:
-    n = 0
-    stack = [t.root]
-    while stack:
-        node = stack.pop()
-        n += 1
-        stack.extend(node.children)
-    return n
+    _kinds = {"tokens": (str,)}
 
 
 def to_tree(d: Drs) -> DrsTree:
@@ -141,21 +139,21 @@ def to_tree(d: Drs) -> DrsTree:
     nodes: dict[str, Node] = {}
     leaf = _Leaves()
     for b in reversed(order):
-        children = [Node("REF", (leaf[v],)) for v in b.referents]
+        children = [_build(Node, "REF", (leaf[v],)) for v in b.referents]
         for c in b.conditions:
             if isinstance(c, Unary):
-                children.append(Node("C1", (leaf[c.predicate], leaf[c.argument])))
+                children.append(_build(Node, "C1", (leaf[c.predicate], leaf[c.argument])))
             elif isinstance(c, Binary):
-                children.append(Node("C2", (leaf[c.role], leaf[c.first], leaf[c.second])))
+                children.append(_build(Node, "C2", (leaf[c.role], leaf[c.first], leaf[c.second])))
             else:
-                children.append(Node("OP", (leaf[c.op], *(nodes[x] for x in c.boxes))))
-        nodes[b.id] = Node("DRS", tuple(children))
+                children.append(_build(Node, "OP", (leaf[c.op], *(nodes[x] for x in c.boxes))))
+        nodes[b.id] = _build(Node, "DRS", tuple(children))
     if not d.relations:
-        return DrsTree(nodes[d.top])
+        return _build(DrsTree, nodes[d.top])
     k = {x: leaf[f"K{i}"] for i, x in enumerate(constituents, start=1)}
     kids = [nodes[b.id] for b in order[:len(constituents) + 1]]
-    kids += [Node("REL", (leaf[label], k[a], k[b])) for label, a, b in d.relations]
-    return DrsTree(Node("SDRS", tuple(kids)))
+    kids += [_build(Node, "REL", (leaf[label], k[a], k[b])) for label, a, b in d.relations]
+    return _build(DrsTree, _build(Node, "SDRS", tuple(kids)))
 
 
 class _Builder:
@@ -225,8 +223,7 @@ class _Builder:
                 conditions.append(Operator(op.label, tuple(ids)))
             else:
                 raise MalformedTree(f"unexpected node {child.label!r} under DRS")
-        self.boxes[slot] = Box(id=box_id, referents=tuple(referents),
-                               conditions=tuple(conditions))
+        self.boxes[slot] = _build(Box, box_id, tuple(referents), tuple(conditions))
         for v in (*scope, *shared):
             del self.visible[v]
         return box_id
@@ -261,7 +258,7 @@ def from_tree(t: DrsTree) -> Drs:
     builder = _Builder()
     if root.label == "DRS":
         builder.read(root, {})
-        return validate(_in_text_order(Drs(tuple(builder.boxes))))
+        return validate(_in_text_order(_build(Drs, tuple(builder.boxes))))
     if root.label != "SDRS":
         raise MalformedTree(f"root must be DRS or SDRS, got {root.label!r}")
     drs_kids = [c for c in root.children if c.label == "DRS"]
@@ -281,7 +278,7 @@ def from_tree(t: DrsTree) -> Drs:
         if ka not in k or kb not in k:
             raise MalformedTree(f"bad constituent index in ({label} {ka} {kb})")
         relations.append((label, k[ka], k[kb]))
-    return validate(_in_text_order(Drs(tuple(builder.boxes), tuple(relations))))
+    return validate(_in_text_order(_build(Drs, tuple(builder.boxes), tuple(relations))))
 
 
 def linearize(t: DrsTree) -> LinearSeq:
@@ -299,7 +296,7 @@ def linearize(t: DrsTree) -> LinearSeq:
             stack.pop()
             if stack:
                 tokens.append(")")
-    return LinearSeq(tuple(tokens))
+    return _build(LinearSeq, tuple(tokens))
 
 
 def delinearize(s: LinearSeq) -> DrsTree:
@@ -313,11 +310,11 @@ def delinearize(s: LinearSeq) -> DrsTree:
         if tok == ")":
             if kids is None:
                 raise MalformedSequence("unbalanced ')'")
-            node = Node(label, tuple(kids))
+            node = _build(Node, label, tuple(kids))
             if not stack:
                 for _ in tokens:  # any token at all
                     raise MalformedSequence("tokens after the root closed")
-                return DrsTree(node)
+                return _build(DrsTree, node)
             label, kids = stack.pop()
             kids.append(node)
         elif tok.startswith("("):

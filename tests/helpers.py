@@ -7,7 +7,26 @@ from itertools import permutations, product
 
 import numpy as np
 
-from boxparse.drs import Binary, Box, Drs, Operator, Unary, validate
+from boxparse.drs import (
+    VARIABLE_SORTS,
+    AlignmentRecord,
+    Binary,
+    Box,
+    ClauseDocument,
+    Condition,
+    Drs,
+    Operator,
+    Unary,
+    _in_text_order,
+    box_clauses,
+    format_clauses,
+    is_constant,
+    parse_clauses,
+    validate,
+    variable_sort,
+)
+from boxparse.evaluate import Alignment
+from boxparse.tree import DrsTree, LinearSeq, Node
 
 # Clause file for the running example: "I sat down and opened my laptop."
 # Two event boxes joined by CONTINUATION under an empty top box.
@@ -112,8 +131,6 @@ def random_draft(rng: np.random.Generator, max_boxes: int = 4,
     the sampler finishes them: children before their parent. So ``validate``
     may reject it on box order alone, when a box that hosts no line comes
     before one that does."""
-    from boxparse.drs import format_clauses
-
     while True:
         sampler = _DrsSampler(rng, max_boxes, max_conditions)
         use_relations = allow_relations and max_boxes >= 3 and rng.random() < 0.4
@@ -140,8 +157,6 @@ def random_drs(rng: np.random.Generator, max_boxes: int = 4,
                max_conditions: int = 12, allow_relations: bool = True) -> Drs:
     """Random valid DRS: a ``random_draft`` with its boxes in clause-text
     order, read back from its clause text."""
-    from boxparse.drs import _in_text_order, format_clauses, parse_clauses
-
     d = random_draft(rng, max_boxes, max_conditions, allow_relations)
     return parse_clauses(format_clauses(validate(_in_text_order(d))))
 
@@ -152,8 +167,6 @@ def random_presupposed_drs(rng: np.random.Generator, max_presupposed: int = 3) -
     gets a unary predicate of its referent. Sometimes a presupposed box uses
     an earlier one's referent, and sometimes it holds a NOT box that uses
     its own. The clause blocks come in shuffled order."""
-    from boxparse.drs import box_clauses, parse_clauses
-
     d = random_drs(rng)
     blocks = {b.id: [" ".join(c) for c in box_clauses(b)] for b in d.boxes}
     blocks[d.top][:0] = [f"{d.top} {label} {a} {b}" for label, a, b in d.relations]
@@ -189,31 +202,96 @@ def _dog(box_id: str, x: str) -> Box:
     return Box(box_id, (x,), (Unary("dog", x),))
 
 
-# DRSs with one field of the wrong type: a value that is no str where clause
-# text gives a str, a str that is no Box, or a list where the parser gives a
-# tuple (such a DRS would neither read back equal nor hash)
+_DOG = "b1 REF x1\nb1 dog x1\n"
+
+# Constructions with one field of the wrong type: a value that is no str
+# where clause text gives a str, a str that is no Box, or a list where the
+# parser gives a tuple (such a DRS would neither read back equal nor hash)
 WRONG_TYPES = {
-    "unary_int_argument": Drs((Box("b1", ("x1",), (Unary("dog", 1),)),)),
-    "unary_int_predicate": Drs((Box("b1", ("x1",), (Unary(1, "x1"),)),)),
-    "int_referent": Drs((Box("b1", (1,), ()),)),
-    "binary_list_argument": Drs((Box("b1", ("x1",), (Unary("dog", "x1"),
-                                                      Binary("Agent", "x1", ["a"]))),)),
-    "int_relation_label": Drs((_dog("b1", "x1"), _dog("b2", "x2"), _dog("b3", "x3")),
-                              ((1, "b2", "b3"),)),
-    "list_relation": Drs((_dog("b1", "x1"), _dog("b2", "x2"), _dog("b3", "x3")),
-                         (["CONTINUATION", "b2", "b3"],)),
-    "str_for_box": Drs(("b1",)),
-    "operator_list_boxes": Drs((Box("b1", ("x1",), (Unary("dog", "x1"), Operator("NOT", ["b2"]))),
-                                _dog("b2", "x2"))),
-    "box_list_referents": Drs((Box("b1", ["x1"], (Unary("dog", "x1"),)),)),
-    "list_of_boxes": Drs([_dog("b1", "x1")]),
-    # a list where a box id goes, which the nesting puts in a dict
-    "relation_list_box": Drs((_dog("b1", "x1"), _dog("b2", "x2"), _dog("b3", "x3")),
-                             (("CONTINUATION", ["b2"], "b3"),)),
-    "operator_list_box": Drs((Box("b1", ("x1",), (Unary("dog", "x1"), Operator("NOT", (["b2"],)))),
-                              _dog("b2", "x2"))),
-    "list_box_id": Drs((Box(["b1"], ("x1",), (Unary("dog", "x1"),)), _dog("b2", "x2"))),
+    "unary_int_argument": lambda: Drs((Box("b1", ("x1",), (Unary("dog", 1),)),)),
+    "unary_int_predicate": lambda: Drs((Box("b1", ("x1",), (Unary(1, "x1"),)),)),
+    "int_referent": lambda: Drs((Box("b1", (1,), ()),)),
+    "binary_list_argument": lambda: Drs((Box("b1", ("x1",), (
+        Unary("dog", "x1"), Binary("Agent", "x1", ["a"]))),)),
+    "int_relation_label": lambda: Drs((_dog("b1", "x1"), _dog("b2", "x2"), _dog("b3", "x3")),
+                                      ((1, "b2", "b3"),)),
+    "list_relation": lambda: Drs((_dog("b1", "x1"), _dog("b2", "x2"), _dog("b3", "x3")),
+                                 (["CONTINUATION", "b2", "b3"],)),
+    "str_for_box": lambda: Drs(("b1",)),
+    "operator_list_boxes": lambda: Drs((Box("b1", ("x1",), (
+        Unary("dog", "x1"), Operator("NOT", ["b2"]))), _dog("b2", "x2"))),
+    "box_list_referents": lambda: Drs((Box("b1", ["x1"], (Unary("dog", "x1"),)),)),
+    "list_of_boxes": lambda: Drs([_dog("b1", "x1")]),
+    # a list where a box id goes, which the nesting would put in a dict
+    "relation_list_box": lambda: Drs((_dog("b1", "x1"), _dog("b2", "x2"), _dog("b3", "x3")),
+                                     (("CONTINUATION", ["b2"], "b3"),)),
+    "operator_list_box": lambda: Drs((Box("b1", ("x1",), (
+        Unary("dog", "x1"), Operator("NOT", (["b2"],)))), _dog("b2", "x2"))),
+    "list_box_id": lambda: Drs((Box(["b1"], ("x1",), (Unary("dog", "x1"),)), _dog("b2", "x2"))),
+    # a relation that is no tuple of str, and values that format_clauses,
+    # revert_predicates, delinearize, linearize or from_tree would read
+    "none_relation": lambda: Drs(parse_clauses(_DOG).boxes, (None,)),
+    "int_comment": lambda: ClauseDocument(parse_clauses(_DOG), comments=(5,)),
+    # would write "% a" and "% b", which read back as two comments
+    "str_for_comments": lambda: ClauseDocument(parse_clauses(_DOG), comments="ab"),
+    "int_alignment_predicate": lambda: AlignmentRecord(1, 5),
+    "str_alignment_token": lambda: AlignmentRecord("0", "dog"),
+    "none_alignment_token": lambda: AlignmentRecord(None, "dog"),
+    "bool_alignment_token": lambda: AlignmentRecord(True, "dog"),
+    "none_token": lambda: LinearSeq(("(DRS", None, ")")),
+    "str_for_node": lambda: Node("DRS", ("REF",)),
+    "int_node_label": lambda: Node(1),
+    "str_for_root": lambda: DrsTree("DRS"),
+    "alignment_list_image": lambda: Alignment(mapping={"x1": ["a"]}),
 }
+
+
+def canonicalize_variables(d: Drs) -> Drs:
+    """Rename variables to first-use order per sort (x1, x2, ...), and boxes
+    in document order to p1, p2, ... if presupposed and b1, b2, ... if not;
+    the result is metric-equivalent."""
+    counters = {s: 0 for s in (*VARIABLE_SORTS, "b", "p")}
+    box_map: dict[str, str] = {}
+    for b in d.boxes:
+        prefix = "p" if b.presupposed else "b"
+        counters[prefix] += 1
+        box_map[b.id] = f"{prefix}{counters[prefix]}"
+    var_map: dict[str, str] = {}
+
+    def rename_var(v: str) -> str:
+        if v not in var_map:
+            s = variable_sort(v)
+            counters[s] += 1
+            var_map[v] = f"{s}{counters[s]}"
+        return var_map[v]
+
+    def rename_arg(a: str) -> str:
+        return a if is_constant(a) else rename_var(a)
+
+    boxes = []
+    for b in d.boxes:
+        refs = tuple(rename_var(v) for v in b.referents)
+        conds: list[Condition] = []
+        for c in b.conditions:
+            if isinstance(c, Unary):
+                conds.append(Unary(c.predicate, rename_arg(c.argument)))
+            elif isinstance(c, Binary):
+                conds.append(Binary(c.role, rename_arg(c.first), rename_arg(c.second)))
+            else:
+                conds.append(Operator(c.op, tuple(box_map[x] for x in c.boxes)))
+        boxes.append(Box(id=box_map[b.id], referents=refs, conditions=tuple(conds)))
+    relations = tuple((label, box_map[a], box_map[bb]) for label, a, bb in d.relations)
+    return Drs(boxes=tuple(boxes), relations=relations)
+
+
+def count_nodes(t: DrsTree) -> int:
+    n = 0
+    stack = [t.root]
+    while stack:
+        node = stack.pop()
+        n += 1
+        stack.extend(node.children)
+    return n
 
 
 def small_drs_for_alignment(rng: np.random.Generator) -> Drs:

@@ -13,6 +13,7 @@ from helpers import (
     FIG1_LEMMAS,
     FIG1_TOKENS,
     WRONG_TYPES,
+    canonicalize_variables,
     random_draft,
     random_drs,
     random_presupposed_drs,
@@ -27,7 +28,6 @@ from boxparse.drs import (
     Drs,
     Operator,
     Unary,
-    canonicalize_variables,
     format_clauses,
     merge_presuppositions,
     parse_clause_document,
@@ -48,6 +48,7 @@ from boxparse.errors import (
     PairingError,
     UnknownOperator,
 )
+from boxparse.evaluate import to_clauses
 from boxparse.tree import DrsTree, LinearSeq, Node, delinearize, from_tree, linearize, to_tree
 
 
@@ -475,6 +476,13 @@ class TestRevertPredicates:
         with pytest.raises(PairingError, match="spelled like a keyword"):
             revert_predicates(d, ann)
 
+    @pytest.mark.parametrize("lemma", [5, ["dog"], b"dog"], ids=["int", "list", "bytes"])
+    def test_lemma_that_is_no_str_raises_pairing_error(self, lemma):
+        d = parse_clauses("b1 REF e1\nb1 open.v.01 e1\n")
+        ann = SimpleAnnotation(["a"], [lemma], [AlignmentRecord(0, "open", head=True)])
+        with pytest.raises(PairingError, match="is not a str"):
+            revert_predicates(d, ann)
+
     @pytest.mark.parametrize("lemma", ["sit down", ""])
     def test_blank_lemma_raises_pairing_error(self, lemma):
         # format_clauses would write "b1 sit down e1", which does not re-parse
@@ -492,21 +500,6 @@ LEMMAS = ["aprire", "A", "REF", "NOT.n.01", "NARRATION", "x1", "b2.n.01"]
 
 
 class TestValidate:
-    @pytest.mark.parametrize("d", WRONG_TYPES.values(), ids=WRONG_TYPES)
-    def test_wrong_typed_field_raises_data_error(self, d):
-        with pytest.raises(DataError):
-            validate(d)
-
-    @pytest.mark.parametrize("d", WRONG_TYPES.values(), ids=WRONG_TYPES)
-    def test_wrong_typed_field_unvalidated_reads_or_raises_data_error(self, d):
-        # the top, the box lookup and the clause text do not validate
-        for read in (lambda: d.top, lambda: d.box("b1"), lambda: d.box("b2"),
-                     lambda: format_clauses(d)):
-            try:
-                read()
-            except DataError:
-                pass
-
     def test_random_drs_validate(self, rng):
         for _ in range(30):
             d = random_drs(rng)
@@ -665,19 +658,20 @@ class TestValidate:
         assert parse_clauses(format_clauses(validate(d))) == d
 
     @pytest.mark.parametrize("relation", [("CONTINUATION", "b2"), ("CONTINUATION",),
-                                          ("CONTINUATION", "b2", "b3", "b2"), None])
+                                          ("CONTINUATION", "b2", "b3", "b2")])
     def test_relation_that_is_not_a_triple(self, fig1_drs, relation):
-        d = Drs(fig1_drs.boxes, (relation,))
         # top and format_clauses do not validate, but read the same shape rule
         for read in (validate, attrgetter("top"), format_clauses):
             with pytest.raises(DataError, match="not a .label, box, box. triple"):
-                read(d)
+                read(Drs(fig1_drs.boxes, (relation,)))
 
     @pytest.mark.parametrize("condition", ["dog", ("dog", "x1"), None])
     def test_condition_of_no_condition_class(self, condition):
-        d = Drs(boxes=(Box("b1", ("x1",), (Unary("dog", "x1"), condition)),))
-        with pytest.raises(DataError, match="is not a Unary, Binary or Operator"):
-            validate(d)
+        # the clause text and the scored clauses do not validate, but read
+        # the same rule
+        for read in (validate, format_clauses, to_clauses):
+            with pytest.raises(DataError, match="is not a Unary, Binary or Operator"):
+                read(Drs(boxes=(Box("b1", ("x1",), (Unary("dog", "x1"), condition)),)))
 
     def test_presupposed_flag_preserved_in_replace(self):
         b = Box("p1", ("x1",), ())
@@ -689,6 +683,11 @@ VALUES = [Unary("dog", "x1"), Binary("Agent", "e1", '"now"'), Operator("IMP", ("
 
 
 class TestValues:
+    @pytest.mark.parametrize("make", WRONG_TYPES.values(), ids=WRONG_TYPES)
+    def test_wrong_typed_field_raises_data_error(self, make):
+        with pytest.raises(DataError):
+            make()
+
     @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
     def test_fields_cannot_be_assigned(self, value):
         for name in value.__dataclass_fields__:

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    WRONG_TYPES,
     brute_force_best_match,
+    canonicalize_variables,
     oracle_match_count,
     random_drs,
     small_drs_for_alignment,
 )
 
 from boxparse import evaluate as evaluate_module
-from boxparse.drs import Drs, canonicalize_variables, parse_clauses, strip_senses
+from boxparse.drs import Drs, parse_clauses, strip_senses
 from boxparse.errors import DataError
 from boxparse.evaluate import (
     _UNMAPPED,
@@ -93,15 +93,6 @@ class TestToClauses:
         cs = to_clauses(d)
         assert cs.clauses == (("b1", "NOT", "b2"),)
         assert cs.sorts["b2"] == "b"
-
-    @pytest.mark.parametrize("d", WRONG_TYPES.values(), ids=WRONG_TYPES)
-    def test_wrong_typed_field_scores_or_raises_data_error(self, d, fig1_drs):
-        # score does not validate, so to_clauses meets the wrong type itself
-        for pred, gold in ((d, fig1_drs), (fig1_drs, d)):
-            try:
-                score(pred, gold, lexical_labels=FIG1_LEXICAL)
-            except DataError:
-                pass
 
     def test_injective_up_to_renaming(self, rng):
         seen = {}

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_drs
+from helpers import count_nodes, random_drs
 
 from boxparse.drs import Binary, Box, Drs, Operator, Unary, parse_clauses, strip_senses
 from boxparse.errors import (
@@ -18,7 +18,6 @@ from boxparse.tree import (
     DrsTree,
     LinearSeq,
     Node,
-    count_nodes,
     delinearize,
     from_tree,
     linearize,
