@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import fields, is_dataclass
 from itertools import permutations, product
 
 import numpy as np
@@ -244,6 +245,36 @@ WRONG_TYPES = {
     "str_for_root": lambda: DrsTree("DRS"),
     "alignment_list_image": lambda: Alignment(mapping={"x1": ["a"]}),
 }
+
+
+# Constructions at the edge of the type rules that must build: token 0 and a
+# head flag, empty tuples, constants, presupposed boxes and leaf nodes
+RIGHT_TYPES = {
+    "zero_alignment_token": lambda: AlignmentRecord(0, "dog"),
+    "head_alignment": lambda: AlignmentRecord(3, "dog.n.01", True),
+    "empty_box": lambda: Box("b1"),
+    "presupposed_box": lambda: Box("p1", ("x1",), (Unary("dog", "x1"),)),
+    "constant_argument": lambda: Binary("Agent", "e1", '"now"'),
+    "operator_two_boxes": lambda: Operator("IMP", ("b2", "b3")),
+    "drs_with_relation": lambda: Drs((Box("b1"), _dog("b2", "x2"), _dog("b3", "x3")),
+                                     (("CONTINUATION", "b2", "b3"),)),
+    "document": lambda: ClauseDocument(parse_clauses(_DOG), (AlignmentRecord(0, "dog", True),),
+                                       ("a dog",)),
+    "leaf_node": lambda: Node("DRS"),
+    "nested_node": lambda: Node("DRS", (Node("REF", (Node("x1"),)),)),
+    "leaf_tree": lambda: DrsTree(Node("DRS")),
+    "empty_sequence": lambda: LinearSeq(()),
+    "alignment_mapping": lambda: Alignment(mapping={"x1": "x2", "b1": "b2"}),
+}
+
+
+def rechecked(value):
+    """``value`` built again, field by field, through the checked constructors."""
+    if type(value) is tuple:
+        return tuple(rechecked(x) for x in value)
+    if is_dataclass(value):
+        return type(value)(*(rechecked(getattr(value, f.name)) for f in fields(value)))
+    return value
 
 
 def canonicalize_variables(d: Drs) -> Drs:

@@ -12,11 +12,13 @@ from helpers import (
     FIG1_CLAUSES,
     FIG1_LEMMAS,
     FIG1_TOKENS,
+    RIGHT_TYPES,
     WRONG_TYPES,
     canonicalize_variables,
     random_draft,
     random_drs,
     random_presupposed_drs,
+    rechecked,
 )
 
 from boxparse import drs as drs_module
@@ -678,6 +680,32 @@ class TestValidate:
         assert replace(b, referents=("x2",)).presupposed
 
 
+def _aligned_document(d: Drs) -> ClauseDocument:
+    preds = sorted({c.predicate for b in d.boxes for c in b.conditions if isinstance(c, Unary)})
+    alignments = tuple(AlignmentRecord(i, p, i % 2 == 0) for i, p in enumerate(preds))
+    return ClauseDocument(d, alignments, ("a comment",))
+
+
+def _reverted(d: Drs) -> Drs:
+    doc = _aligned_document(d)
+    lemmas = [f"{rec.predicate}o" for rec in doc.alignments]
+    return revert_predicates(d, SimpleAnnotation(lemmas, lemmas, doc.alignments))[0]
+
+
+# Each public path that builds values through the unchecked ``_build``, on a
+# random valid DRS: one with presupposed boxes for merge_presuppositions
+UNCHECKED_BUILDERS = {
+    "parse_clause_document": lambda d: parse_clause_document(format_clauses(_aligned_document(d))),
+    "merge_presuppositions": merge_presuppositions,
+    "strip_senses": strip_senses,
+    "revert_predicates": _reverted,
+    "to_tree": to_tree,
+    "from_tree": lambda d: from_tree(to_tree(d)),
+    "linearize": lambda d: linearize(to_tree(d)),
+    "delinearize": lambda d: delinearize(linearize(to_tree(d))),
+}
+
+
 VALUES = [Unary("dog", "x1"), Binary("Agent", "e1", '"now"'), Operator("IMP", ("b2", "b3")),
           Box("p1", ("x1",), (Unary("dog", "x1"),))]
 
@@ -687,6 +715,23 @@ class TestValues:
     def test_wrong_typed_field_raises_data_error(self, make):
         with pytest.raises(DataError):
             make()
+
+    @pytest.mark.parametrize("make", RIGHT_TYPES.values(), ids=RIGHT_TYPES)
+    def test_right_typed_fields_build(self, make):
+        assert make() == make()
+
+    @pytest.mark.parametrize("name", UNCHECKED_BUILDERS)
+    def test_unchecked_builds_pass_the_check(self, name, rng):
+        sample = random_presupposed_drs if name == "merge_presuppositions" else random_drs
+        built = 0
+        for _ in range(20):
+            try:
+                value = UNCHECKED_BUILDERS[name](sample(rng))
+            except AmbiguousMerge:
+                continue  # a random presupposed box may have no one host
+            assert rechecked(value) == value
+            built += 1
+        assert built >= 10
 
     @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
     def test_fields_cannot_be_assigned(self, value):
