@@ -477,7 +477,14 @@ def parse_clause_document(text: str) -> ClauseDocument:
     An error caused by one line starts with ``line N:``, counting every
     line of ``text`` from 1.
     """
-    return _parse_lines(enumerate(text.splitlines(), start=1))
+    return _parse_lines(enumerate(_lines(text), start=1))
+
+
+def _lines(text: str) -> list[str]:
+    # clause text is data, so text that is not a str is a DataError
+    if not isinstance(text, str):
+        raise DataError(f"clause text is a str, not {type(text).__name__}")
+    return text.splitlines()
 
 
 def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
@@ -573,7 +580,7 @@ def parse_clause_documents(text: str) -> list[ClauseDocument]:
     """Parse a file holding several DRSs separated by blank lines; error
     line numbers count from the start of the file."""
     blocks: list[list[tuple[int, str]]] = [[]]
-    for n, line in enumerate(text.splitlines(), start=1):
+    for n, line in enumerate(_lines(text), start=1):
         if line.strip():
             blocks[-1].append((n, line))
         elif blocks[-1]:

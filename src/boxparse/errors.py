@@ -5,6 +5,14 @@
 somewhere in the package. The planned command-line interface (ROADMAP
 item 5) maps the families to exit codes: ConfigError -> 2, DataError -> 3,
 NumericError -> 4.
+
+Data is what a caller reads from outside: clause text, and the fields of a
+value being built. Data of any shape raises a ``BoxparseError``; so the
+parsers raise ``DataError`` for text that is not a ``str``. An argument
+that should be a value of this package and is not (``validate("x")``,
+``d.box(["b1"])``, ``to_clauses(None)``) is a caller's bug, not bad data,
+and may raise any exception, as ``autodiff`` states for an operand that is
+not a ``Tensor``.
 """
 
 

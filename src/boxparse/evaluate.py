@@ -8,13 +8,23 @@ plus a four-way category breakdown under the fixed best alignment. The
 search policy is fixed: hill climbing from a greedy start plus 19 random
 starts seeded with 0, keeping the best, so a pair always gets one score.
 
+The search works on exact integer keys, not on renamed clause tuples. One
+index per pair codes every token, ``_UNMAPPED`` as 0, and keys a clause by
+one digit per position in a base above every code, plus a length digit
+above the longest clause; so two clauses have equal keys exactly when they
+are equal tuples (``rename_clause`` is the definition the keys are tested
+against). A predicted clause's key is then a fixed part plus, for each
+symbol it holds, a weight times the code of the symbol's image.
+
 A climb's moves reassign one predicted symbol to a free gold symbol of its
 sort, or swap the images of two predicted symbols of one sort. Each move is
-scored by its delta: only the clauses that hold a moved symbol are renamed
-again. A map that renames clauses holds every symbol of its side, with
-``_UNMAPPED`` as the image of an unmapped one; no clause holds it, so
-unmapping a symbol can never gain and is not a move. A report carries the
-search statistics: the moves applied and the moves scored.
+scored by its delta: moving ``p`` from ``a`` to ``b`` adds
+``weight * (code(b) - code(a))`` to the key of each clause that holds
+``p``, and no other key changes. A map that renames clauses holds every
+symbol of its side, with ``_UNMAPPED`` as the image of an unmapped one; no
+clause holds it, so unmapping a symbol can never gain and is not a move. A
+report carries the search statistics: the moves applied and the moves
+scored.
 
 A climb's path depends on nothing but the mapping it stands at, so a climb
 that starts at, or steps onto, a mapping an earlier climb of the same pair
@@ -29,6 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,6 +52,9 @@ CATEGORIES = ("operators", "non_lexical_unary", "non_lexical_binary", "lexical")
 RESTARTS = 20  # climbs per pair: the greedy start, then random starts
 SEED = 0
 _UNMAPPED = object()  # the image of an unmapped symbol, equal to no token
+# the categories of a category's report: one shared read-only empty map, not
+# an empty dict in each of the four reports that every scored pair keeps
+_NO_CATEGORIES = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -133,18 +147,17 @@ def _by_sort(sorts: dict[str, str]) -> dict[str, list[str]]:
     return out
 
 
-def _smart_init(pred: ClauseSet, gold: ClauseSet) -> dict[str, str]:
+def _smart_init(index: _PairIndex) -> dict[str, str]:
     """Greedy seed: vote for symbol pairs implied by clauses whose fixed
-    parts already agree. Equal signatures, the clauses with each symbol
-    renamed to its sort, pair symbols of one sort."""
-    gold_sig = {s: ("SYM", sort) for s, sort in gold.sorts.items()}
-    pred_sig = {s: ("SYM", sort) for s, sort in pred.sorts.items()}
-    gold_by_sig: dict[tuple, list[Clause]] = {}
-    for c in gold.clauses:
-        gold_by_sig.setdefault(rename_clause(c, gold_sig), []).append(c)
+    parts already agree. Equal signature keys, the clauses with each symbol
+    coded as its sort, pair symbols of one sort."""
+    pred, gold = index.pred, index.gold
+    gold_by_sig: dict[int, list[Clause]] = {}
+    for sig, c in zip(index.gold_sigs, gold.clauses):
+        gold_by_sig.setdefault(sig, []).append(c)
     votes: Counter = Counter()
-    for pc in pred.clauses:
-        for gc in gold_by_sig.get(rename_clause(pc, pred_sig), ()):
+    for sig, pc in zip(index.pred_sigs, pred.clauses):
+        for gc in gold_by_sig.get(sig, ()):
             for ptok, gtok in zip(pc, gc):
                 if ptok in pred.sorts:
                     votes[(ptok, gtok)] += 1
@@ -167,21 +180,93 @@ def _random_init(pred_by_sort: dict[str, list[str]], gold_by_sort: dict[str, lis
     return mapping
 
 
-def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
-           pred_by_sort: dict[str, list[str]], gold_by_sort: dict[str, list[str]],
-           touching: dict[str, set[int]], memo: dict) -> tuple[dict[str, str], int, int, int]:
+class _PairIndex:
+    """One pair's clauses as exact integer keys, built once per
+    ``best_alignment`` call.
+
+    ``code`` numbers the tokens a renamed predicted clause or a gold clause
+    can hold: 0 for ``_UNMAPPED``, then the gold symbols and tokens and the
+    predicted labels and constants, one code per string, so a predicted
+    token spelled like a gold one shares its code. Sorts get codes above
+    those. A key has one digit per position in base ``base``, the largest
+    code + 1, and the clause's length as a digit at ``top``, one place above
+    the longest clause. So a clause ending in ``_UNMAPPED`` (digit 0) keeps
+    a key apart from the shorter clause without it, however many boxes an
+    unvalidated operator holds.
+
+    ``fixed`` keys the predicted clauses with digit 0 for every symbol, and
+    ``occurrences[p]`` lists ``(clause index, weight)`` for each clause that
+    holds ``p``, the weight summing ``base ** position`` over its places.
+    Signature keys code each symbol as its sort.
+    """
+
+    __slots__ = ("pred", "gold", "code", "base", "top", "fixed", "occurrences",
+                 "gold_counts", "pred_sigs", "gold_sigs", "pred_by_sort", "gold_by_sort")
+
+    def __init__(self, pred: ClauseSet, gold: ClauseSet):
+        self.pred, self.gold = pred, gold
+        code = self.code = {_UNMAPPED: 0}
+        for tok in (*gold.sorts, *(t for c in gold.clauses for t in c),
+                    *(t for c in pred.clauses for t in c if t not in pred.sorts)):
+            code.setdefault(tok, len(code))
+        sort_code = {sort: len(code) + k for k, sort in
+                     enumerate(sorted({*pred.sorts.values(), *gold.sorts.values()}))}
+        self.base = len(code) + len(sort_code)
+        self.top = self.base ** max(map(len, (*pred.clauses, *gold.clauses)), default=0)
+        self.fixed = [self._digits([0 if t in pred.sorts else code[t] for t in c])
+                      for c in pred.clauses]
+        held: dict[str, dict[int, int]] = {s: {} for s in pred.sorts}
+        for i, c in enumerate(pred.clauses):
+            for j, t in enumerate(c):
+                if t in held:
+                    held[t][i] = held[t].get(i, 0) + self.base ** j
+        self.occurrences = {s: list(by_clause.items()) for s, by_clause in held.items()}
+        self.gold_counts = Counter(map(self.encode, gold.clauses))
+        self.pred_sigs = self.keys(pred.sorts, sort_code)
+        self.gold_sigs = [self._digits([sort_code[gold.sorts[t]] if t in gold.sorts
+                                        else code[t] for t in c]) for c in gold.clauses]
+        self.pred_by_sort, self.gold_by_sort = _by_sort(pred.sorts), _by_sort(gold.sorts)
+
+    def _digits(self, codes: list[int]) -> int:
+        key, place = len(codes) * self.top, 1
+        for c in codes:
+            key += c * place
+            place *= self.base
+        return key
+
+    def encode(self, clause: Clause) -> int:
+        """The key of a clause whose every token has a code, such as a
+        predicted clause renamed through a total map."""
+        return self._digits([self.code[t] for t in clause])
+
+    def keys(self, mapping: dict, codes: dict) -> list[int]:
+        """The key of every predicted clause with each symbol ``p`` coded as
+        ``codes[mapping[p]]``."""
+        keys = list(self.fixed)
+        for p, held in self.occurrences.items():
+            c = codes[mapping[p]]
+            for i, w in held:
+                keys[i] += w * c
+        return keys
+
+
+def _climb(index: _PairIndex, mapping: dict[str, str],
+           memo: dict) -> tuple[dict[str, str], int, int, int]:
     """Steepest ascent: apply the single reassignment or swap with the
     largest gain until none gains; the first of equal gains wins. Each step
     matches at least one more clause, so a climb ends within ``len(pred)``
     steps. Returns the mapping, its matched count, the steps taken and the
     moves scored.
 
-    The climb keeps every predicted clause renamed under the current
-    mapping and a running count of those renamings. A move is scored by
-    applying it in place, renaming only the clauses that ``touching`` says
-    hold a moved symbol, and undoing it; its gain is the change in matched
-    clauses from removing their old renamings and adding the new ones.
-    Every predicted symbol is a key of the mapping, ``_UNMAPPED`` if
+    The climb keeps the key of every predicted clause under the current
+    mapping (see ``_PairIndex``) and a running count of those keys. Moving
+    ``p`` from image ``a`` to ``b`` adds ``weight * (code(b) - code(a))``
+    to the key of each clause in ``occurrences[p]``; a swap of ``p`` and
+    ``q`` adds both symbols' terms. A move's gain is the change in matched
+    clauses from removing the moved clauses' old keys from the count and
+    adding their new ones. A move that gives no clause a gold key cannot
+    gain, so its gain is not worked out. Only an applied move is written
+    back. Every predicted symbol is a key of the mapping, ``_UNMAPPED`` if
     unmapped. Unmapping a symbol alone is never proposed: its clauses would
     hold ``_UNMAPPED``, which matches no gold clause, so it cannot gain.
 
@@ -192,7 +277,9 @@ def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
     arrives at a state in ``memo`` takes that outcome, adding its steps and
     moves to its own, and on ending fills in every state it passed.
     """
-    clauses, sorts = pred.clauses, pred.sorts
+    sorts, code, occurrences = index.pred.sorts, index.code, index.occurrences
+    gold_counts, gold_keys = index.gold_counts, index.gold_counts.keys()
+    pred_by_sort, gold_by_sort = index.pred_by_sort, index.gold_by_sort
     current = dict.fromkeys(sorts, _UNMAPPED)
     current.update(mapping)
     # a tuple of a dict view is allocated once at its size; one grown from a
@@ -200,27 +287,29 @@ def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
     state = tuple(current.values())
     if state in memo:
         return memo[state]
-    renamed = [rename_clause(c, current) for c in clauses]
-    counts = Counter(renamed)
-    score = sum(min(n, gold_counts[c]) for c, n in counts.items())
+    keys = index.keys(current, code)
+    counts = Counter(keys)
+    score = sum(min(n, gold_counts[k]) for k, n in counts.items())
     path = []  # (state, moves scored there) for each state a step left
 
-    def rename_touched(touched: set[int]) -> tuple[list[tuple[int, Clause]], int]:
-        # the touched clauses renamed under ``current``, and the gain over ``renamed``
-        moved = []
-        delta: dict[Clause, int] = {}  # net change per renamed clause that gold holds
-        for i in touched:
-            old, new = renamed[i], rename_clause(clauses[i], current)
-            moved.append((i, new))
+    def gain_of(moved: dict[int, int]) -> int:
+        # the change in matched clauses when clause i takes the key moved[i];
+        # 0 for a move that gives no clause a gold key, which cannot gain and
+        # so never beats the best gain (>= 0)
+        if gold_keys.isdisjoint(moved.values()):
+            return 0
+        delta: dict[int, int] = {}  # net change per key that gold holds
+        for i, new in moved.items():
+            old = keys[i]
             if old in gold_counts:
                 delta[old] = delta.get(old, 0) - 1
             if new in gold_counts:
                 delta[new] = delta.get(new, 0) + 1
         gain = 0
-        for c, d in delta.items():
-            n, g = counts[c], gold_counts[c]
+        for k, d in delta.items():
+            n, g = counts[k], gold_counts[k]
             gain += min(n + d, g) - min(n, g)
-        return moved, gain
+        return gain
 
     psyms = sorted(sorts)
     while True:
@@ -230,30 +319,36 @@ def _climb(pred: ClauseSet, gold_counts: Counter, mapping: dict[str, str],
         for p in psyms:
             sort = sorts[p]
             image = current[p]
+            held, a = occurrences[p], code[image]
             # reassign p to a free gold symbol, or swap images with a later
             # predicted symbol of its sort, where one image may be _UNMAPPED
-            moves = [({p: g}, touching[p]) for g in gold_by_sort.get(sort, ())
-                     if g not in used]
-            moves += [({p: current[q], q: image}, touching[p] | touching[q])
-                      for q in pred_by_sort[sort] if q > p and current[q] != image]
-            scored += len(moves)
-            for change, touched in moves:
-                undo = {s: current[s] for s in change}
-                current.update(change)
-                moved, gain = rename_touched(touched)
-                current.update(undo)
+            free = [g for g in gold_by_sort.get(sort, ()) if g not in used]
+            partners = [q for q in pred_by_sort[sort] if q > p and current[q] != image]
+            scored += len(free) + len(partners)
+            for g in free:
+                d = code[g] - a
+                moved = {i: keys[i] + w * d for i, w in held}
+                gain = gain_of(moved)
                 if gain > best_gain:
-                    best_gain, best_move = gain, (change, moved)
+                    best_gain, best_move = gain, ({p: g}, moved)
+            for q in partners:
+                d = code[current[q]] - a
+                moved = {i: keys[i] + w * d for i, w in held}
+                for i, w in occurrences[q]:
+                    moved[i] = moved.get(i, keys[i]) - w * d
+                gain = gain_of(moved)
+                if gain > best_gain:
+                    best_gain, best_move = gain, ({p: current[q], q: image}, moved)
         if best_move is None:
             outcome = memo[state] = current, score, 0, scored
             break
         path.append((state, scored))
         change, moved = best_move
         current.update(change)
-        for i, new in moved:
-            counts[renamed[i]] -= 1
+        for i, new in moved.items():
+            counts[keys[i]] -= 1
             counts[new] += 1
-            renamed[i] = new
+            keys[i] = new
         score += best_gain
         state = tuple(current.values())
         if state in memo:
@@ -271,28 +366,25 @@ def best_alignment(pred: ClauseSet, gold: ClauseSet) -> tuple[Alignment, int]:
 
     The returned count is a lower bound on the true optimum; on small
     symbol sets the greedy start plus random restarts reach it. The
-    alignment carries the search statistics summed over all climbs. A
-    climb that repeats part of an earlier one is recalled from a memo of
-    climb states, which lives for this one call and so is never shared
-    across pairs or documents; a recalled climb counts the steps and moves
-    it would have made, so the statistics are those of every climb run in
-    full.
+    alignment carries the search statistics summed over all climbs.
+
+    One ``_PairIndex`` serves the whole search: it codes the pair's tokens,
+    keys every clause exactly, and holds the signature keys the greedy
+    start reads and each symbol's clauses and weights the climbs move
+    keys by. A climb that repeats part of an earlier one is recalled from a
+    memo of climb states. The index and the memo live for this one call
+    and so are never shared across pairs or documents; a recalled climb
+    counts the steps and moves it would have made, so the statistics are
+    those of every climb run in full.
     """
-    gold_counts = Counter(gold.clauses)
-    pred_by_sort, gold_by_sort = _by_sort(pred.sorts), _by_sort(gold.sorts)
-    touching: dict[str, set[int]] = {s: set() for s in pred.sorts}  # symbol -> clause indices
-    for i, c in enumerate(pred.clauses):
-        for tok in c:
-            if tok in touching:
-                touching[tok].add(i)
+    index = _PairIndex(pred, gold)
     rng = np.random.default_rng(SEED)
     memo: dict = {}  # climb state -> outcome, see _climb
     best_map, best_score, steps, evaluations = {}, -1, 0, 0
     for restart in range(RESTARTS):
-        start = (_random_init(pred_by_sort, gold_by_sort, rng) if restart
-                 else _smart_init(pred, gold))
-        mapping, score, n_steps, n_evaluations = _climb(
-            pred, gold_counts, start, pred_by_sort, gold_by_sort, touching, memo)
+        start = (_random_init(index.pred_by_sort, index.gold_by_sort, rng) if restart
+                 else _smart_init(index))
+        mapping, score, n_steps, n_evaluations = _climb(index, start, memo)
         steps += n_steps
         evaluations += n_evaluations
         if score > best_score:
@@ -362,4 +454,5 @@ def category_breakdown(pred: ClauseSet, gold: ClauseSet, alignment: Alignment,
     for (cat, c), n in renamed.items():
         matched[cat] += min(n, gold_counts[cat, c])
     return {cat: ScoreReport(matched=matched[cat], n_predicted=pred_cats.count(cat),
-                             n_gold=gold_cats.count(cat)) for cat in CATEGORIES}
+                             n_gold=gold_cats.count(cat), per_category=_NO_CATEGORIES)
+            for cat in CATEGORIES}

@@ -89,6 +89,14 @@ class TestParseClauses:
         with pytest.raises(EmptyInput):
             parse_clauses("")
 
+    @pytest.mark.parametrize("parse", [parse_clause_document, parse_clauses,
+                                       parse_clause_documents])
+    @pytest.mark.parametrize("text", [None, b"b1 REF x1\n", 1, ["b1 REF x1"]],
+                             ids=["none", "bytes", "int", "list"])
+    def test_text_that_is_no_str_raises_data_error(self, parse, text):
+        with pytest.raises(DataError, match="clause text is a str"):
+            parse(text)
+
     def test_comment_only_file(self):
         with pytest.raises(EmptyInput):
             parse_clauses("% just a comment\n")

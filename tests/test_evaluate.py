@@ -1,4 +1,4 @@
-from collections import Counter
+import hashlib
 
 import numpy as np
 import pytest
@@ -13,15 +13,14 @@ from helpers import (
     small_drs_for_alignment,
 )
 
-from boxparse import evaluate as evaluate_module
 from boxparse.drs import Drs, parse_clauses, strip_senses
 from boxparse.errors import DataError
 from boxparse.evaluate import (
     _UNMAPPED,
     Alignment,
     ClauseSet,
-    _by_sort,
     _climb,
+    _PairIndex,
     _random_init,
     best_alignment,
     categorize_clause,
@@ -39,6 +38,9 @@ FIG1_LEXICAL = frozenset({"sit_down", "open", "laptop"})
 PINNED_SEARCH = [(2, 0, 0), (2, 0, 0), (9, 38, 348), (4, 3, 69), (6, 0, 0), (5, 0, 0),
                  (9, 37, 399), (1, 16, 225), (6, 43, 819), (8, 31, 257)]
 PINNED_SEARCH_SUMS = (1056, 4658, 89775)
+# SHA-256 of the repr of the list of best_alignment's mappings, each sorted,
+# on scored_pair seeds 0-199: a change in which alignment wins shows here
+PINNED_MAPPINGS = "51b3c75db3e1b25cf2a5fe94e44d05c0793f82bd7f5f1413484f29769759aee9"
 
 
 def renamed_copy(d):
@@ -159,13 +161,14 @@ class TestBestAlignment:
                                              alignment.mapping)
 
     def test_search_is_pinned(self):
-        def run(seed):
+        runs, mappings = [], []
+        for seed in range(200):
             alignment, matched = best_alignment(*scored_pair(seed))
-            return matched, alignment.climb_steps, alignment.evaluations
-
-        runs = [run(seed) for seed in range(200)]
+            runs.append((matched, alignment.climb_steps, alignment.evaluations))
+            mappings.append(sorted(alignment.mapping.items()))
         assert runs[:10] == PINNED_SEARCH
         assert tuple(map(sum, zip(*runs))) == PINNED_SEARCH_SUMS
+        assert hashlib.sha256(repr(mappings).encode()).hexdigest() == PINNED_MAPPINGS
 
     def test_alignment_is_injective(self):
         with pytest.raises(DataError):
@@ -177,12 +180,6 @@ class TestBestAlignment:
         assert matched == 0
 
 
-def climb_args(pred, gold):
-    """The per-pair arguments that best_alignment gives each climb."""
-    touching = {s: {i for i, c in enumerate(pred.clauses) if s in c} for s in pred.sorts}
-    return Counter(gold.clauses), _by_sort(pred.sorts), _by_sort(gold.sorts), touching
-
-
 class TestClimbMemo:
     # scored_pair seeds whose search takes many steps (PINNED_SEARCH)
     SEEDS = [2, 6, 7, 8, 9]
@@ -191,12 +188,11 @@ class TestClimbMemo:
     def first_climb(seed):
         """A climb from a random start of a pair, its memo and its outcome,
         and the climb to run again."""
-        pred, gold = scored_pair(seed)
-        gold_counts, pred_by_sort, gold_by_sort, touching = climb_args(pred, gold)
-        start = _random_init(pred_by_sort, gold_by_sort, np.random.default_rng(seed))
+        index = _PairIndex(*scored_pair(seed))
+        start = _random_init(index.pred_by_sort, index.gold_by_sort, np.random.default_rng(seed))
 
         def climb(mapping, memo):
-            return _climb(pred, gold_counts, mapping, pred_by_sort, gold_by_sort, touching, memo)
+            return _climb(index, mapping, memo)
 
         memo = {}
         outcome = climb(start, memo)
@@ -205,13 +201,16 @@ class TestClimbMemo:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_a_climb_from_a_start_in_the_memo_renames_nothing(self, seed, monkeypatch):
+        # the climb renames clauses as keys, and it computes them in one step
         climb, start, memo, outcome = self.first_climb(seed)
 
-        def no_renaming(*args):
-            raise AssertionError("a recalled climb renamed a clause")
+        def no_keys(*args):
+            raise AssertionError("a recalled climb computed a clause key")
 
-        monkeypatch.setattr(evaluate_module, "rename_clause", no_renaming)
+        monkeypatch.setattr(_PairIndex, "keys", no_keys)
         assert climb(start, memo) == outcome
+        with pytest.raises(AssertionError, match="computed a clause key"):
+            climb(start, {})
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_a_climb_from_a_state_passed_partway_runs_as_with_no_memo(self, seed):
@@ -223,6 +222,40 @@ class TestClimbMemo:
         for state in passed:
             mapping = dict(zip(psyms, state))
             assert climb(mapping, memo) == climb(mapping, {})
+
+
+def with_wide_operator(cs, rng):
+    """``cs`` with an unvalidated operator clause over 4 to 6 of its boxes,
+    and the same clause without its last box."""
+    boxes = sorted(s for s, sort in cs.sorts.items() if sort == "b")
+    picked = [boxes[int(rng.integers(len(boxes)))] for _ in range(int(rng.integers(5, 8)))]
+    wide = (picked[0], "DUP", *picked[1:])
+    return ClauseSet(clauses=cs.clauses + (wide, wide[:-1]), sorts=cs.sorts)
+
+
+class TestClauseKeys:
+    @given(st.integers(min_value=0, max_value=10_000), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_key_is_its_clause_renamed(self, seed, data):
+        rng = np.random.default_rng(seed)
+        pred, gold = (with_wide_operator(cs, rng) for cs in scored_pair(seed))
+        index = _PairIndex(pred, gold)
+        mapping = {}  # total, sort-respecting and injective, with some symbols unmapped
+        for sort, psyms in index.pred_by_sort.items():
+            free = list(index.gold_by_sort.get(sort, ()))
+            for p in psyms:
+                k = data.draw(st.integers(min_value=-1, max_value=len(free) - 1))
+                mapping[p] = _UNMAPPED if k < 0 else free.pop(k)
+        renamed = [rename_clause(c, mapping) for c in pred.clauses]
+        keys = index.keys(mapping, index.code)
+        assert keys == [index.encode(c) for c in renamed]
+        clauses, all_keys = renamed + list(gold.clauses), keys + list(map(index.encode,
+                                                                           gold.clauses))
+        for a, key_a in zip(clauses, all_keys):
+            for b, key_b in zip(clauses, all_keys):
+                assert (key_a == key_b) == (a == b)
+        for c, key in zip(renamed, keys):
+            assert (key in index.gold_counts) == (c in gold.clauses)
 
 
 class TestScore:
@@ -341,6 +374,14 @@ class TestCategoryBreakdown:
             assert rep.matched == oracle_match_count(pred_sub, pred.sorts, gold_sub,
                                                      alignment.mapping)
         assert sum(rep.matched for rep in cats.values()) == matched
+
+    def test_a_category_has_no_categories(self, fig1_drs):
+        gold = strip_senses(fig1_drs)
+        rep = score(renamed_copy(gold), gold, lexical_labels=FIG1_LEXICAL)
+        for cat in rep.per_category.values():
+            assert cat.per_category == {}
+            with pytest.raises(TypeError):
+                cat.per_category["lexical"] = cat  # read-only, and shared by every category
 
     def test_logic_operator_counts_as_operator(self):
         gold = parse_clauses("b1 REF e1\nb1 run e1\nb1 NOT b2\nb2 REF e2\nb2 sleep e2\n")
