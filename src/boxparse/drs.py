@@ -30,12 +30,12 @@ remembers that it passed ``validate``, and the label-only rewrites
 ``strip_senses`` and ``revert_predicates`` pass that on to their result.
 
 Construction rule: building a value, here or in ``tree``, raises
-``DataError`` unless each field is exactly of its annotated type; the items
-of a tuple of conditions and the length of a relation are left to
-``validate``. Unary, Binary and Operator check in ``__init__``. The other
-value types list their field types in ``_kinds`` for their metaclass to
-check, and the parser and the rewrites, which hold only parser tokens,
-build them through ``_build``, which skips the check.
+``DataError`` unless each field is exactly of its annotated type, down to
+the class of each condition and the three parts of each relation. Unary,
+Binary and Operator check in ``__init__``. The other value types list their
+field types in ``_kinds`` for their metaclass to check, and the parser and
+the rewrites, which hold only parser tokens, build them through ``_build``,
+which skips the check.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Union
+from types import UnionType
+from typing import Iterable, Iterator
 
 from .errors import (
     AmbiguousMerge,
@@ -124,10 +125,16 @@ class _Checked(type):
 
 
 def _is(value, kind) -> bool:
-    """Whether ``value`` is exactly a ``kind``, or for ``(item,)`` a tuple of ``item``s."""
-    if type(kind) is tuple:
+    """Whether ``value`` is exactly a ``kind``, written as its annotation: a
+    class, a union of classes, ``(item, ...)`` for a tuple of ``item``s, or
+    a tuple of kinds for a tuple of that length."""
+    if type(kind) is UnionType:
+        return type(value) in kind.__args__
+    if type(kind) is not tuple:
+        return type(value) is kind
+    if kind[-1] is ...:
         return type(value) is tuple and all(_is(x, kind[0]) for x in value)
-    return type(value) is kind
+    return type(value) is tuple and len(value) == len(kind) and all(map(_is, value, kind))
 
 
 _build = type.__call__  # builds a value without the check, for parser tokens
@@ -186,7 +193,7 @@ class Operator:
         _set_boxes(self, boxes)
 
 
-Condition = Union[Unary, Binary, Operator]
+Condition = Unary | Binary | Operator
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -194,7 +201,7 @@ class Box(metaclass=_Checked):
     id: str
     referents: tuple[str, ...] = ()
     conditions: tuple[Condition, ...] = ()
-    _kinds = {"id": str, "referents": (str,), "conditions": tuple}
+    _kinds = {"id": str, "referents": (str, ...), "conditions": (Condition, ...)}
 
     def __init__(self, id: str, referents: tuple[str, ...] = (),
                  conditions: tuple[Condition, ...] = ()):
@@ -219,7 +226,7 @@ _set_id, _set_referents, _set_conditions = (
 class Drs(metaclass=_Checked):
     boxes: tuple[Box, ...]
     relations: tuple[tuple[str, str, str], ...] = ()
-    _kinds = {"boxes": (Box,), "relations": ((str,),)}
+    _kinds = {"boxes": (Box, ...), "relations": ((str, str, str), ...)}
 
     @property
     def top(self) -> str | None:
@@ -240,9 +247,6 @@ class Drs(metaclass=_Checked):
                     if child in parents:
                         raise DataError(f"box {child} embedded under several operators")
                     parents[child] = b.id
-        for rel in self.relations:
-            if len(rel) != 3:
-                raise DataError(f"relation {rel!r} is not a (label, box, box) triple")
         constituents = dict.fromkeys(x for _label, a, b in self.relations for x in (a, b))
         for child in constituents:
             if child in parents:
@@ -294,7 +298,7 @@ def _in_text_order(d: Drs) -> Drs:
     then the others by first mention."""
     if all(b.referents or b.conditions for b in d.boxes):
         return d  # every box hosts a line
-    tokens = format_clauses(d).split()
+    tokens = [t for c in clauses(d) for t in c]
     first = dict(zip(reversed(tokens), range(len(tokens) - 1, -1, -1)))  # token -> position
     boxes = tuple(sorted(d.boxes, key=lambda b: -1 if _hosts_line(d, b)
                          else first.get(b.id, len(tokens))))
@@ -324,8 +328,8 @@ def validate(d: Drs) -> Drs:
     first mention. Predicate and role labels are single tokens spelled like
     no symbol or keyword, with or without a sense suffix; relation labels
     are keywords other than REF and the operators; and every box hosts a
-    clause or is named by one. A relation is a (label, box, box) triple and
-    a condition a Unary, Binary or Operator.
+    clause or is named by one. Construction refuses a relation that is no
+    (label, box, box) triple and a condition of no condition class.
 
     A Drs that passed is remembered, so checking it again costs nothing. A
     failure is not remembered: the same value raises again.
@@ -357,7 +361,7 @@ def _check(d: Drs) -> None:
                 labels.add(c.predicate)
             elif isinstance(c, Binary):
                 labels.add(c.role)
-            elif isinstance(c, Operator):
+            else:
                 if c.op not in OPERATORS:
                     raise UnknownOperator(f"unknown operator {c.op!r}")
                 want = 1 if c.op in UNARY_OPERATORS else 2
@@ -366,14 +370,11 @@ def _check(d: Drs) -> None:
                 for ref in c.boxes:
                     if ref not in known:
                         raise DataError(f"operator references unknown box {ref!r}")
-            else:
-                raise DataError(f"condition {c!r} in box {b.id} is not a Unary, Binary "
-                                "or Operator")
     for label in sorted(labels):
         if fault := _label_fault(label):
             bad = sorted(x for x in labels if _label_fault(x) == fault)
             raise DataError(f"labels {fault[1]}: {bad}")
-    top, parents = d._nesting  # which finds each relation a triple first
+    top, parents = d._nesting
     relation_labels: set[str] = set()  # those that passed
     for label, a, bb in d.relations:
         if label not in relation_labels:
@@ -465,7 +466,7 @@ class ClauseDocument(metaclass=_Checked):
     drs: Drs
     alignments: tuple[AlignmentRecord, ...] = ()
     comments: tuple[str, ...] = ()
-    _kinds = {"drs": Drs, "alignments": (AlignmentRecord,), "comments": (str,)}
+    _kinds = {"drs": Drs, "alignments": (AlignmentRecord, ...), "comments": (str, ...)}
 
 
 _ALIGN_RE = re.compile(r"^%\s+(\d+)\s+(\S+)(\s+head)?\s*$")
@@ -591,19 +592,25 @@ def parse_clause_documents(text: str) -> list[ClauseDocument]:
     return docs
 
 
-def box_clauses(box: Box) -> Iterator[tuple[str, ...]]:
-    """The clauses a box hosts, in file order: referents, then conditions."""
-    for v in box.referents:
-        yield (box.id, "REF", v)
-    for c in box.conditions:
-        if isinstance(c, Unary):
-            yield (box.id, c.predicate, c.argument)
-        elif isinstance(c, Binary):
-            yield (box.id, c.role, c.first, c.second)
-        elif isinstance(c, Operator):
-            yield (box.id, c.op, *c.boxes)
-        else:  # validate says so too
-            raise DataError(f"condition {c!r} in box {box.id} is not a Unary, Binary or Operator")
+def clauses(d: Drs) -> Iterator[tuple[str, ...]]:
+    """The lines of ``d``'s clause text as token tuples, in file order: box
+    by box, its referents, then its conditions, the top's block led by the
+    relations it hosts, as ``(top, label, a, b)``. ``d`` is not validated,
+    but relations with no top to host them raise ``DataError``."""
+    top = d.top if d.relations else None
+    if d.relations and top is None:
+        raise DataError("no top box to host the relations")
+    for box in d.boxes:
+        if box.id == top:
+            yield from ((top, *r) for r in d.relations)
+        yield from ((box.id, "REF", v) for v in box.referents)
+        for c in box.conditions:
+            if isinstance(c, Unary):
+                yield (box.id, c.predicate, c.argument)
+            elif isinstance(c, Binary):
+                yield (box.id, c.role, c.first, c.second)
+            else:
+                yield (box.id, c.op, *c.boxes)
 
 
 def format_clauses(doc: ClauseDocument | Drs) -> str:
@@ -627,11 +634,7 @@ def format_clauses(doc: ClauseDocument | Drs) -> str:
             raise DataError(
                 f"alignment predicate {rec.predicate!r} is empty or holds whitespace")
         out.append(f"% {rec.token} {rec.predicate}" + (" head" if rec.head else ""))
-    top = d.top
-    for box in d.boxes:
-        if box.id == top:  # the top hosts the relations, first in its block
-            out.extend(f"{top} {label} {a} {b}" for label, a, b in d.relations)
-        out.extend(map(" ".join, box_clauses(box)))
+    out.extend(map(" ".join, clauses(d)))
     return "\n".join(out) + "\n"
 
 

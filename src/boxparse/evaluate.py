@@ -43,7 +43,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .drs import OPERATORS, Drs, box_clauses, variable_sort
+from .drs import Drs, _is_keyword, clauses, variable_sort
 from .errors import DataError
 
 Clause = tuple
@@ -109,23 +109,16 @@ class ScoreReport:
 
 
 def to_clauses(d: Drs) -> ClauseSet:
-    """Deterministic clause decomposition, one clause per referent, condition
-    and discourse relation. Box clauses are those the file format writes. A
-    relation is ``("REL", label, a, b)``: the file writes it at its host,
-    the top box (``b1 CONTINUATION b2 b3``), but the scored clause leaves
-    the host out.
-
-    ``d`` is not validated, so that a prediction with relations dropped
-    still scores.
-    """
-    clauses: list[Clause] = []
+    """The lines ``format_clauses`` writes, as ``drs.clauses`` yields them:
+    one per referent, condition and relation, a relation at its host, the
+    top (``("b1", "CONTINUATION", "b2", "b3")``). Box ids and referents are
+    the symbols. ``d`` is not validated, so that a prediction with
+    relations dropped still scores."""
     sorts: dict[str, str] = {}
     for b in d.boxes:
         sorts[b.id] = "b"
         sorts.update((v, variable_sort(v)) for v in b.referents)
-        clauses.extend(box_clauses(b))
-    clauses.extend(("REL", *r) for r in d.relations)
-    return ClauseSet(clauses=tuple(clauses), sorts=sorts)
+    return ClauseSet(clauses=tuple(clauses(d)), sorts=sorts)
 
 
 def rename_clause(clause: Clause, mapping: dict) -> Clause:
@@ -425,11 +418,11 @@ def categorize_clause(clause: Clause, sorts: dict[str, str],
                       lexical_labels: frozenset[str]) -> str:
     """Bucket for the error analysis: logic operators and discourse
     relations / non-lexical unary (incl. referent declarations) /
-    non-lexical binary roles / lexical predicates."""
-    if clause[0] == "REL":
-        return "operators"
-    if len(clause) >= 3 and clause[1] in OPERATORS \
-            and all(tok in sorts and sorts[tok] == "b" for tok in clause[2:]):
+    non-lexical binary roles / lexical predicates. A clause is an operator
+    or relation when its label is a keyword other than REF and its
+    arguments are all boxes."""
+    if clause[1] != "REF" and _is_keyword(clause[1]) \
+            and all(sorts.get(tok) == "b" for tok in clause[2:]):
         return "operators"
     if clause[1] == "REF":
         return "non_lexical_unary"

@@ -61,7 +61,7 @@ def check_gradients(loss_fn, params: dict[str, ad.Tensor],
         flat = p.data.reshape(-1)
         n = flat.shape[0]
         idxs = np.arange(n) if n <= SAMPLE_CAP else rng.choice(n, size=SAMPLE_CAP, replace=False)
-        floor = float(np.abs(analytic[key]).max()) or 1.0
+        floor = float(np.abs(analytic[key]).max(initial=0.0)) or 1.0
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + H

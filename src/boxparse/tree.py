@@ -99,7 +99,7 @@ class Node(metaclass=_Checked):
 
 _set_label = Node.label.__set__
 _set_children = Node.children.__set__
-Node._kinds = {"label": str, "children": (Node,)}
+Node._kinds = {"label": str, "children": (Node, ...)}
 
 
 class _Leaves(dict):
@@ -119,7 +119,7 @@ class DrsTree(metaclass=_Checked):
 @dataclass(frozen=True)
 class LinearSeq(metaclass=_Checked):
     tokens: tuple[str, ...]
-    _kinds = {"tokens": (str,)}
+    _kinds = {"tokens": (str, ...)}
 
 
 def to_tree(d: Drs) -> DrsTree:

@@ -19,7 +19,7 @@ from boxparse.drs import (
     Operator,
     Unary,
     _in_text_order,
-    box_clauses,
+    clauses,
     format_clauses,
     is_constant,
     parse_clauses,
@@ -169,8 +169,9 @@ def random_presupposed_drs(rng: np.random.Generator, max_presupposed: int = 3) -
     an earlier one's referent, and sometimes it holds a NOT box that uses
     its own. The clause blocks come in shuffled order."""
     d = random_drs(rng)
-    blocks = {b.id: [" ".join(c) for c in box_clauses(b)] for b in d.boxes}
-    blocks[d.top][:0] = [f"{d.top} {label} {a} {b}" for label, a, b in d.relations]
+    blocks: dict[str, list[str]] = {b.id: [] for b in d.boxes}
+    for c in clauses(d):
+        blocks[c[0]].append(" ".join(c))
     n_boxes = len(d.boxes)
     moved: list[str] = []
     for i in range(1, int(rng.integers(1, max_presupposed + 1)) + 1):

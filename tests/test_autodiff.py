@@ -431,6 +431,17 @@ class TestBackward:
         assert not report.passed
         assert report.max_rel_error == pytest.approx(0.5, rel=1e-3)
 
+    def test_gradcheck_of_a_zero_size_parameter_checks_no_entry(self):
+        w = ad.uniform((3,), np.random.default_rng(4), scale=1.0)
+        empty = ad.zeros((0,), requires_grad=True)
+
+        def loss_fn():
+            return ad.reduce_sum(ad.tanh(ad.concat([w, empty])))
+
+        report = check_gradients(loss_fn, {"w": w, "empty": empty})
+        assert report.passed, report.worst
+        assert report.n_checked == 3
+
 
 class TestDeferredProducts:
     """A leaf's rank-1 terms from matrix-vector products are summed in one

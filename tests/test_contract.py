@@ -9,6 +9,7 @@ drawn labels, constants, box ids and relation labels.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,7 @@ from boxparse.drs import (
     strip_senses,
     validate,
 )
-from boxparse.errors import BoxparseError
+from boxparse.errors import BoxparseError, DataError
 from boxparse.evaluate import score
 from boxparse.tree import LinearSeq, delinearize, from_tree, linearize, to_tree
 
@@ -49,8 +50,8 @@ PARTS = {
     "relation": (["CONTINUATION", "RESULT"], ["continuation", "REF", "NOT", "A", "CON TINUATION"]),
 }
 LEAVES = [*PARTS["label"][0], *PARTS["label"][1], *PARTS["constant"][1]]
-# Odd shapes of a whole part: a relation that is not a (label, box, box)
-# triple, and a condition that is no condition class.
+# Odd shapes of a whole part, which construction refuses: a relation that
+# is not a (label, box, box) triple, and a condition that is no condition class.
 SHAPES = {
     "relation_shape": [("CONTINUATION", "b2"), ("CONTINUATION", "b2", "b3", "b1")],
     "condition_shape": ["dog", ("dog", "x1"), None],
@@ -130,12 +131,11 @@ def test_edited_token_sequence_raises_only_boxparse_errors(seed, token_edits):
 
 @st.composite
 def drawn_drs(draw) -> Drs:
-    """A DRS built in code, with at most one kind of part drawn odd: a
-    spelling, or the shape of one relation or condition. The first box is
-    a root; each other box hangs under an operator of an earlier box, is a
-    relation constituent, or is a root; every box declares one referent;
-    and the boxes come in any order."""
-    odd = draw(st.sampled_from([None, None, *PARTS, *SHAPES]))
+    """A DRS built in code, with at most one kind of part drawn with an odd
+    spelling. The first box is a root; each other box hangs under an
+    operator of an earlier box, is a relation constituent, or is a root;
+    every box declares one referent; and the boxes come in any order."""
+    odd = draw(st.sampled_from([None, None, *PARTS]))
 
     def part(kind: str) -> str:
         return draw(st.sampled_from(PARTS[kind][kind == odd]))
@@ -157,12 +157,6 @@ def drawn_drs(draw) -> Drs:
     relations = [(part("relation"), a, b) for a, b in zip(constituents, constituents[1:])]
     if len(constituents) == 1:  # a lone constituent relates to itself
         relations.append((part("relation"), constituents[0], constituents[0]))
-    if odd == "relation_shape":
-        relations.insert(draw(st.integers(0, len(relations))),
-                         draw(st.sampled_from(SHAPES[odd])))
-    elif odd == "condition_shape":
-        conditions[draw(st.integers(0, len(ids) - 1))].append(
-            draw(st.sampled_from(SHAPES[odd])))
     boxes = [Box(box_id, (f"x{i + 1}",), tuple(conditions[i])) for i, box_id in enumerate(ids)]
     return Drs(tuple(draw(st.permutations(boxes))), tuple(relations))
 
@@ -175,6 +169,21 @@ def test_valid_drs_built_in_code_reads_back_equal(d):
     except BoxparseError:
         return
     assert parse_clauses(format_clauses(d)) == d
+
+
+@given(drawn_drs(), st.sampled_from(sorted(SHAPES)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_odd_shapes_are_refused_where_built(d, odd, data):
+    shape = data.draw(st.sampled_from(SHAPES[odd]))
+    if odd == "relation_shape":
+        i = data.draw(st.integers(0, len(d.relations)))
+        with pytest.raises(DataError):
+            Drs(d.boxes, (*d.relations[:i], shape, *d.relations[i:]))
+    else:
+        box = data.draw(st.sampled_from(d.boxes))
+        i = data.draw(st.integers(0, len(box.conditions)))
+        with pytest.raises(DataError):
+            Box(box.id, box.referents, (*box.conditions[:i], shape, *box.conditions[i:]))
 
 
 def edit_tree_tokens(tokens: list[str], kind: str, i: int, label: str) -> None:

@@ -1,7 +1,6 @@
 import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
-from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -338,9 +337,8 @@ class TestMergePresuppositions:
 
     def test_invalid_argument_raises_data_error(self):
         d = parse_clauses(PRESUPPOSED)
-        bad = Drs(d.boxes, (("CONTINUATION", "b2"),))
-        with pytest.raises(DataError, match="not a .label, box, box. triple"):
-            merge_presuppositions(bad)
+        with pytest.raises(DataError, match="Drs.relations is"):
+            Drs(d.boxes, (("CONTINUATION", "b2"),))
 
     def test_box_nested_in_a_presupposed_box_moves_with_it(self):
         # "the man who didn't sleep left": b2 uses x1 from inside p1, so only
@@ -670,18 +668,25 @@ class TestValidate:
     @pytest.mark.parametrize("relation", [("CONTINUATION", "b2"), ("CONTINUATION",),
                                           ("CONTINUATION", "b2", "b3", "b2")])
     def test_relation_that_is_not_a_triple(self, fig1_drs, relation):
-        # top and format_clauses do not validate, but read the same shape rule
-        for read in (validate, attrgetter("top"), format_clauses):
-            with pytest.raises(DataError, match="not a .label, box, box. triple"):
-                read(Drs(fig1_drs.boxes, (relation,)))
+        # refused where built, so no reader meets it
+        with pytest.raises(DataError, match="Drs.relations is"):
+            Drs(fig1_drs.boxes, (relation,))
 
     @pytest.mark.parametrize("condition", ["dog", ("dog", "x1"), None])
     def test_condition_of_no_condition_class(self, condition):
-        # the clause text and the scored clauses do not validate, but read
-        # the same rule
-        for read in (validate, format_clauses, to_clauses):
-            with pytest.raises(DataError, match="is not a Unary, Binary or Operator"):
-                read(Drs(boxes=(Box("b1", ("x1",), (Unary("dog", "x1"), condition)),)))
+        # refused where built, so no reader meets it
+        with pytest.raises(DataError, match="Box.conditions is"):
+            Box("b1", ("x1",), (Unary("dog", "x1"), condition))
+
+    def test_relations_with_no_top_to_host_them_raise(self):
+        # p1 is presupposed and b2 and b3 are constituents, so no box can
+        # host the relation line; neither reader validates, nor drops it
+        d = Drs((Box("p1", ("x1",), (Unary("dog", "x1"),)),
+                 Box("b2", ("e1",), (Unary("run", "e1"),)),
+                 Box("b3", ("e2",), (Unary("sleep", "e2"),))), (("CONTINUATION", "b2", "b3"),))
+        for read in (format_clauses, to_clauses):
+            with pytest.raises(DataError, match="no top box to host the relations"):
+                read(d)
 
     def test_presupposed_flag_preserved_in_replace(self):
         b = Box("p1", ("x1",), ())
