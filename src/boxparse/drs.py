@@ -21,9 +21,10 @@ Clause file format (UTF-8, LF, one clause per line, whitespace separated):
 Token conventions: box ids match ``[bp][0-9]+`` ('p' marks a presupposed
 box), variables match ``[xets][0-9]+``, constants are quoted, operator and
 relation labels are fully uppercase, roles are capitalized, predicates
-lowercase, and no label looks like a symbol or a keyword, with or without
-a sense suffix. No token holds whitespace. DRSs in one file are separated
-by blank lines.
+lowercase, and no label looks like a symbol, a keyword or a bracket of the
+tree's linear form (it starts with ``(`` or is ``)``), with or without a
+sense suffix. No token holds whitespace. DRSs in one file are separated by
+blank lines.
 
 All values are immutable; every operation returns a new structure. A Drs
 remembers that it passed ``validate``, and the label-only rewrites
@@ -100,8 +101,9 @@ def strip_sense(label: str) -> str:
 
 def _label_fault(label: str) -> tuple[str, str] | None:
     """Why ``label`` cannot be a predicate, role or lemma, said of one label
-    and of several; None if it can. Clause text must read it back as itself:
-    one token that, sense stripped, is spelled like no symbol or keyword."""
+    and of several; None if it can. Clause text and the tree's linear form
+    must read it back as itself: one token that, sense stripped, is spelled
+    like no symbol, keyword or bracket."""
     if not label or _SPACE_RE.search(label):
         return "is empty or holds whitespace", "empty or holding whitespace"
     stripped = strip_sense(label)
@@ -109,6 +111,8 @@ def _label_fault(label: str) -> tuple[str, str] | None:
         return "is spelled like a symbol", "spelled like symbols"
     if _is_keyword(stripped):
         return "is spelled like a keyword", "spelled like keywords"
+    if stripped[0] == "(" or stripped == ")":
+        return "is spelled like a bracket", "spelled like brackets"
     return None
 
 
@@ -241,7 +245,7 @@ class Drs(metaclass=_Checked):
         parents: dict[str, str] = {}
         for b in self.boxes:
             for c in b.conditions:
-                if not isinstance(c, Operator):
+                if type(c) is not Operator:
                     continue
                 for child in c.boxes:
                     if child in parents:
@@ -326,10 +330,12 @@ def validate(d: Drs) -> Drs:
     the text's order, as the parser, ``merge_presuppositions`` and
     ``from_tree`` give them: those that host a line, then the others by
     first mention. Predicate and role labels are single tokens spelled like
-    no symbol or keyword, with or without a sense suffix; relation labels
-    are keywords other than REF and the operators; and every box hosts a
-    clause or is named by one. Construction refuses a relation that is no
-    (label, box, box) triple and a condition of no condition class.
+    no symbol, keyword or bracket, with or without a sense suffix; relation
+    labels are keywords other than REF and the operators, and start with no
+    ``(``; and every box hosts a clause or is named by one. A bracket is a
+    token that starts with ``(`` or is ``)``, which the tree's linear form
+    could not read back as a label. Construction refuses a relation that is
+    no (label, box, box) triple and a condition of no condition class.
 
     A Drs that passed is remembered, so checking it again costs nothing. A
     failure is not remembered: the same value raises again.
@@ -342,24 +348,25 @@ def _check(d: Drs) -> None:
     known = d._by_id
     if len(known) != len(d.boxes):
         raise DataError("duplicate box ids")
+    is_box, is_var = _BOX_RE.fullmatch, _VAR_RE.fullmatch
     declared: dict[str, str] = {}
     labels: set[str] = set()  # of unary predicates and binary roles
     presupposed: set[str] = set()
     for b in d.boxes:
-        if not is_box_id(b.id):
+        if not is_box(b.id):
             raise DataError(f"bad box id {b.id!r}")
-        if b.presupposed:
+        if b.id[0] == "p":
             presupposed.add(b.id)
         for v in b.referents:
-            if not is_variable(v):
+            if not is_var(v):
                 raise DataError(f"bad referent name {v!r} in box {b.id}")
             if v in declared:
                 raise DuplicateReferent(f"referent {v} declared in {declared[v]} and {b.id}")
             declared[v] = b.id
-        for c in b.conditions:
-            if isinstance(c, Unary):
+        for c in b.conditions:  # of exactly these classes, as construction admits no other
+            if type(c) is Unary:
                 labels.add(c.predicate)
-            elif isinstance(c, Binary):
+            elif type(c) is Binary:
                 labels.add(c.role)
             else:
                 if c.op not in OPERATORS:
@@ -378,7 +385,8 @@ def _check(d: Drs) -> None:
     relation_labels: set[str] = set()  # those that passed
     for label, a, bb in d.relations:
         if label not in relation_labels:
-            if not _is_keyword(label) or _SPACE_RE.search(label) or label in ("REF", *OPERATORS):
+            if (not _is_keyword(label) or label[0] == "(" or _SPACE_RE.search(label)
+                    or label in ("REF", *OPERATORS)):
                 raise DataError(f"bad relation label {label!r}")
             relation_labels.add(label)
         for ref in (a, bb):
@@ -420,11 +428,11 @@ def _check(d: Drs) -> None:
         b = known[box_id]
         antecedent: dict[str, str] = {}
         for c in b.conditions:
-            if isinstance(c, Unary):
+            if type(c) is Unary:
                 home = declared.get(c.argument)
                 if home not in open_boxes and home not in presupposed:
                     raise _argument_error(c, c.argument, box_id)
-            elif isinstance(c, Binary):
+            elif type(c) is Binary:
                 for arg in (c.first, c.second):
                     home = declared.get(arg)
                     if home in open_boxes or home in presupposed or arg in constants:
@@ -475,8 +483,16 @@ _ALIGN_RE = re.compile(r"^%\s+(\d+)\s+(\S+)(\s+head)?\s*$")
 def parse_clause_document(text: str) -> ClauseDocument:
     """Parse one clause block into a validated Drs plus alignment records.
 
-    An error caused by one line starts with ``line N:``, counting every
-    line of ``text`` from 1.
+    The parser reports what one line shows alone, in a message that starts
+    with ``line N:``, counting every line of ``text`` from 1: a clause of
+    fewer than three tokens, a bad box id, a REF line that names no one
+    variable, a predicate or role with more than two arguments, an argument
+    that is neither a variable nor a quoted constant, a constant argument
+    of a unary predicate, an uppercase label that is no REF, operator or
+    relation (``UnknownOperator``), and a relation hosted elsewhere than at
+    the top. Text with no clause line raises ``EmptyInput``. The rest is
+    left to ``validate``, whose messages name no line: labels, operator
+    arity and boxes, duplicate referents, scope, the nesting and box order.
     """
     return _parse_lines(enumerate(_lines(text), start=1))
 
@@ -491,75 +507,65 @@ def _lines(text: str) -> list[str]:
 def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
     alignments: list[AlignmentRecord] = []
     comments: list[str] = []
-    clause_lines: list[list[str]] = []
-    numbers: list[int] = []  # of the clause lines, for error messages
+    hosted: dict[str, tuple[list[str], list[Condition]]] = {}
+    declared: set[str] = set()  # by REF lines, so variables
+    mentioned: dict[str, None] = {}  # box ids, in order of first mention
+    relations: list[tuple[str, str, str]] = []
+    relation_hosts: list[tuple[int, str]] = []
+    is_box, is_var = _BOX_RE.fullmatch, _VAR_RE.fullmatch
+    host = None  # of the clause line before, whose lists are at hand
     for n, raw in lines:
-        line = raw.strip()
-        if not line:
+        toks = raw.split()
+        if not toks:
             continue
-        if line.startswith("%"):
-            m = _ALIGN_RE.match(line)
-            if m:
+        if toks[0][0] == "%":
+            line = raw.strip()
+            if m := _ALIGN_RE.match(line):
                 alignments.append(_build(AlignmentRecord, int(m.group(1)), m.group(2),
                                          bool(m.group(3))))
             else:
                 comments.append(line[1:].strip())
             continue
-        clause_lines.append(line.split())
-        numbers.append(n)
-    if not clause_lines:
-        raise EmptyInput("no clause lines")
-
-    hosted: dict[str, tuple[list[str], list[Condition]]] = {}
-    declared: set[str] = set()  # by REF lines, so variables
-    mentioned: dict[str, None] = {}
-    relations: list[tuple[str, str, str]] = []
-    relation_hosts: list[tuple[int, str]] = []
-
-    def touch(box_id: str) -> None:
-        if box_id not in mentioned:
-            if not is_box_id(box_id):
-                raise DataError(f"line {n}: bad box id {box_id!r}")
-            mentioned[box_id] = None
-
-    host = None  # of the line before, whose lists are at hand
-    for n, toks in zip(numbers, clause_lines):
         if len(toks) < 3:
             raise DataError(f"line {n}: clause too short: {' '.join(toks)!r}")
         if toks[0] != host:
             host = toks[0]
-            touch(host)
+            if host not in mentioned:
+                if not is_box(host):
+                    raise DataError(f"line {n}: bad box id {host!r}")
+                mentioned[host] = None
             referents, conditions = hosted.setdefault(host, ([], []))
         kw = toks[1]
-        if kw == "REF":
-            if len(toks) != 3:
-                raise DataError(f"line {n}: REF takes one variable")
-            v = toks[2]
-            if not is_variable(v):
-                raise DataError(f"line {n}: bad referent name {v!r}")
-            referents.append(v)
-            declared.add(v)
-        elif kw in OPERATORS:
-            args = toks[2:]
-            for a in args:
-                touch(a)
-            conditions.append(Operator(kw, tuple(args)))
-        elif _is_keyword(kw):
-            if len(toks) == 4 and is_box_id(toks[2]) and is_box_id(toks[3]):
-                for a in toks[2:]:
-                    touch(a)
-                relations.append((kw, toks[2], toks[3]))
-                relation_hosts.append((n, host))
-            else:
-                raise UnknownOperator(f"line {n}: unknown operator {kw!r}")
-        elif len(toks) > 4:
-            raise DataError(f"line {n}: predicate clause with {len(toks) - 2} arguments")
-        else:
+        if not kw.isupper() or len(kw) == 1:  # no keyword: a predicate or a role
+            if len(toks) > 4:
+                raise DataError(f"line {n}: predicate clause with {len(toks) - 2} arguments")
             c = Unary(kw, toks[2]) if len(toks) == 3 else Binary(kw, toks[2], toks[3])
             for a in toks[2:]:
                 if a not in declared and (fault := _argument_fault(c, a)):
                     raise DataError(f"line {n}: {fault}")
             conditions.append(c)
+        elif kw == "REF":
+            if len(toks) != 3:
+                raise DataError(f"line {n}: REF takes one variable")
+            if not is_var(v := toks[2]):
+                raise DataError(f"line {n}: bad referent name {v!r}")
+            referents.append(v)
+            declared.add(v)
+        elif kw in OPERATORS:
+            for a in toks[2:]:
+                if a not in mentioned:
+                    if not is_box(a):
+                        raise DataError(f"line {n}: bad box id {a!r}")
+                    mentioned[a] = None
+            conditions.append(Operator(kw, tuple(toks[2:])))
+        elif len(toks) == 4 and is_box(toks[2]) and is_box(toks[3]):
+            mentioned[toks[2]] = mentioned[toks[3]] = None
+            relations.append((kw, toks[2], toks[3]))
+            relation_hosts.append((n, host))
+        else:
+            raise UnknownOperator(f"line {n}: unknown operator {kw!r}")
+    if host is None:
+        raise EmptyInput("no clause lines")
     for box_id in mentioned:
         hosted.setdefault(box_id, ([], []))
 
@@ -735,8 +741,9 @@ def revert_predicates(d: Drs, annotation) -> tuple[Drs, int]:
     tokens align to one predicate the head-marked token wins, leftmost on
     ties. Lexical predicates with no alignment keep their label; the count
     of such cases is returned alongside the new DRS. A lemma that is no str,
-    is empty, holds whitespace or is spelled like a symbol or a keyword
-    raises PairingError, since the clause format could not write it back.
+    is empty, holds whitespace or is spelled like a symbol, a keyword or a
+    bracket raises PairingError, since the clause format or the tree's
+    linear form could not write it back.
     """
     by_pred: dict[str, list[AlignmentRecord]] = {}
     for rec in annotation.alignments:

@@ -18,7 +18,8 @@ immutable, so equal leaves within one tree may be a single shared object:
 ``to_tree`` and ``delinearize`` build one leaf per label.
 
 Linearization is PTB-style: ``(LABEL`` opens an internal node, ``)``
-closes it, leaves stand alone, tokens are space-separated.
+closes it, leaves stand alone, tokens are space-separated. So no leaf may
+start with ``(`` or be ``)``; ``validate`` refuses such labels.
 
 ``Node``, ``DrsTree`` and ``LinearSeq`` follow the construction rule in the
 ``drs`` module docstring, and the conversions here build through ``_build``.
@@ -194,9 +195,18 @@ class _Builder:
         referents: list[str] = []
         conditions = []
         for child in node.children:
-            if not child.children:
+            if not (kids := child.children):
                 raise MalformedTree(f"leaf {child.label!r} directly under DRS")
-            if child.label == "REF":
+            if child.label == "C1":
+                if len(kids) != 2 or kids[0].children or kids[1].children:
+                    raise MalformedTree("C1 node needs 2 leaf children")
+                conditions.append(Unary(kids[0].label, self._resolve(kids[1].label)))
+            elif child.label == "C2":
+                if len(kids) != 3 or kids[0].children or kids[1].children or kids[2].children:
+                    raise MalformedTree("C2 node needs 3 leaf children")
+                conditions.append(Binary(kids[0].label, self._resolve(kids[1].label),
+                                         self._resolve(kids[2].label)))
+            elif child.label == "REF":
                 if conditions:
                     raise MalformedTree("referent declared after conditions")
                 v = self._leaf_token(child, 1)[0]
@@ -206,14 +216,8 @@ class _Builder:
                 self.counters[sort] += 1
                 scope[v] = self.visible[v] = f"{sort}{self.counters[sort]}"
                 referents.append(scope[v])
-            elif child.label == "C1":
-                pred, arg = self._leaf_token(child, 2)
-                conditions.append(Unary(pred, self._resolve(arg)))
-            elif child.label == "C2":
-                role, a1, a2 = self._leaf_token(child, 3)
-                conditions.append(Binary(role, self._resolve(a1), self._resolve(a2)))
             elif child.label == "OP":
-                op, *subs = child.children
+                op, *subs = kids
                 if op.children:
                     raise MalformedTree("OP node needs an operator label leaf first")
                 ids: list[str] = []

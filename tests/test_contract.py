@@ -1,6 +1,7 @@
 """The contracts: any input, however malformed, either goes through or
-raises a ``BoxparseError`` subclass; and every DRS that validates reads back
-equal from its clause text.
+raises a ``BoxparseError`` subclass; every DRS that validates reads back
+equal from its clause text and, merged, from its tree's linear form; and
+the outcome of each of a fixed set of edited inputs is pinned.
 
 Inputs are valid documents from the random-DRS generator with up to three
 edits applied, so most of them are near misses that reach deep into the
@@ -8,12 +9,14 @@ pipeline before anything can reject them, and DRSs built in code from
 drawn labels, constants, box ids and relation labels.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import RELATION_POOL, random_drs
+from helpers import RELATION_POOL, random_drs, random_presupposed_drs
 
 from boxparse.drs import (
     OPERATORS,
@@ -29,7 +32,7 @@ from boxparse.drs import (
     strip_senses,
     validate,
 )
-from boxparse.errors import BoxparseError, DataError
+from boxparse.errors import AmbiguousMerge, BoxparseError, DataError
 from boxparse.evaluate import score
 from boxparse.tree import LinearSeq, delinearize, from_tree, linearize, to_tree
 
@@ -40,14 +43,15 @@ LINE_EDITS = ("swap_token", "drop", "duplicate", "move", "insert_operator",
 TOKEN_EDITS = ("swap", "drop", "duplicate", "move")
 
 # Parts for the round-trip property: spellings that clause text reads back
-# as themselves, and odd ones (blank, spaced, or spelled like a symbol or a
-# keyword) that it does not.
+# as themselves, and odd ones (blank, spaced, or spelled like a symbol, a
+# keyword or a bracket) that it does not.
 PARTS = {
-    "label": (["dog", "sit_down.v.01", "Agent", "A"],
-              ["", "sit down", "x2", "b1.n.01", "REF", "NOT.n.01", "EQU"]),
+    "label": (["dog", "sit_down.v.01", "Agent", "A", "dog)", ")x"],
+              ["", "sit down", "x2", "b1.n.01", "REF", "NOT.n.01", "EQU", "(dog", ")"]),
     "constant": (['"now"', '""'], ['"a b"', '"a\nb"', "dog"]),
     "box_id": (["b1", "b2", "b3", "b01", "p1", "p2"], ["foo", "b4\n", "q1"]),
-    "relation": (["CONTINUATION", "RESULT"], ["continuation", "REF", "NOT", "A", "CON TINUATION"]),
+    "relation": (["CONTINUATION", "RESULT"],
+                 ["continuation", "REF", "NOT", "A", "CON TINUATION", "(CONT"]),
 }
 LEAVES = [*PARTS["label"][0], *PARTS["label"][1], *PARTS["constant"][1]]
 # Odd shapes of a whole part, which construction refuses: a relation that
@@ -56,6 +60,15 @@ SHAPES = {
     "relation_shape": [("CONTINUATION", "b2"), ("CONTINUATION", "b2", "b3", "b1")],
     "condition_shape": ["dog", ("dog", "x1"), None],
 }
+# SHA-256 of the repr of the outcomes of seeded edits, 2,000 each: for
+# clause text, edited by line and within lines, format_clauses of the
+# parsed, merged DRS or the (error class, message) raised; for token
+# sequences, the same of from_tree. A change in what the parser or the tree
+# reader accepts, in their messages or which fault wins, or in the order of
+# the boxes shows here.
+PINNED_PARSE = "c4c79b43f37d12dbb4587ff20273938ce6bef863dec8e3f13021bf84734ea206"
+PINNED_TREE = "44dd60c3ae1f4e906e5f79646498f6e9cdf6bda028596faf1aa2a386fb831d39"
+PIN_LEAVES = ("dog", "Agent", "x1", "e2", "b1", '"now"', "REF", "NOT", "K1", "C1", "DRS", "")
 LINKS = ["NOT", "POS", "NEC", "relation", "relation", "relation", "root"]  # how a box hangs
 
 
@@ -129,6 +142,61 @@ def test_edited_token_sequence_raises_only_boxparse_errors(seed, token_edits):
         pass
 
 
+def outcome(convert) -> str | tuple[str, str]:
+    """``format_clauses`` of the DRS ``convert()`` returns, or what it raised."""
+    try:
+        return format_clauses(convert())
+    except BoxparseError as e:
+        return type(e).__name__, str(e)
+
+
+def seeded_edits(rng: np.random.Generator, kinds) -> list[tuple]:
+    """One to three edits: a kind and three indices each."""
+    return [(kinds[rng.integers(len(kinds))], *map(int, rng.integers(0, 1_000, 3)))
+            for _ in range(rng.integers(1, 4))]
+
+
+def test_parse_outcomes_are_pinned():
+    outcomes = []
+    for seed in range(2_000):
+        rng = np.random.default_rng(seed)
+        d = random_presupposed_drs(rng) if seed % 2 else random_drs(rng)
+        lines = format_clauses(d).splitlines()
+        for edit in seeded_edits(rng, LINE_EDITS):
+            if lines:
+                edit_lines(lines, *edit)
+        if seed % 4 == 3 and lines:  # and one edit within a line
+            kind, i, j, k = seeded_edits(rng, TOKEN_EDITS)[0]
+            toks = lines[i % len(lines)].split()
+            edit_tokens(toks, kind, j, k, 0)
+            lines[i % len(lines)] = " ".join(toks)
+        text = "\n".join(lines)
+        outcomes.append(outcome(lambda: merge_presuppositions(parse_clauses(text))))
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == PINNED_PARSE
+
+
+def test_tree_outcomes_are_pinned():
+    outcomes = []
+    for seed in range(2_000):
+        rng = np.random.default_rng(seed)
+        tokens = list(linearize(to_tree(random_drs(rng))).tokens)
+        for kind, i, j, _k in seeded_edits(rng, ("drop", "relabel")):
+            edit_tree_tokens(tokens, kind, i, PIN_LEAVES[j % len(PIN_LEAVES)])
+        if seed % 2:
+            for edit in seeded_edits(rng, TOKEN_EDITS):
+                edit_tokens(tokens, *edit)
+        seq = LinearSeq(tuple(tokens))
+        outcomes.append(outcome(lambda: from_tree(delinearize(seq))))
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == PINNED_TREE
+
+
+@pytest.mark.parametrize("tokens", [("",), ("(DRS", "", ")"), ("(DRS", "(REF", "", ")", ")")],
+                         ids=["alone", "under_drs", "under_ref"])
+def test_an_empty_token_raises_a_boxparse_error(tokens):
+    with pytest.raises(BoxparseError):
+        from_tree(delinearize(LinearSeq(tokens)))
+
+
 @st.composite
 def drawn_drs(draw) -> Drs:
     """A DRS built in code, with at most one kind of part drawn with an odd
@@ -169,6 +237,21 @@ def test_valid_drs_built_in_code_reads_back_equal(d):
     except BoxparseError:
         return
     assert parse_clauses(format_clauses(d)) == d
+
+
+@given(drawn_drs())
+@settings(max_examples=300, deadline=None)
+def test_valid_merged_drs_survives_the_linear_form(d):
+    try:
+        validate(d)
+    except BoxparseError:
+        return
+    try:
+        merged = merge_presuppositions(d)
+    except AmbiguousMerge:
+        return
+    t = to_tree(merged)
+    assert delinearize(linearize(t)) == t
 
 
 @given(drawn_drs(), st.sampled_from(sorted(SHAPES)), st.data())

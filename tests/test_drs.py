@@ -183,6 +183,30 @@ class TestParseClauses:
         with pytest.raises(DataError, match="spelled like keywords"):
             parse_clauses(text)
 
+    @pytest.mark.parametrize("text", [
+        "b1 REF x1\nb1 (dog x1\n",
+        "b1 REF x1\nb1 ) x1\n",
+        "b1 REF x1\nb1 (dog.n.01 x1\n",
+        "b1 REF x1\nb1 ).n.01 x1\n",
+        "b1 REF x1\nb1 REF x2\nb1 (Role x1 x2\n",
+    ], ids=["open", "close", "open_sense", "close_sense", "role"])
+    def test_bracket_like_labels_rejected(self, text):
+        # the tree's linear form would read such a leaf as a bracket
+        with pytest.raises(DataError, match="spelled like brackets"):
+            parse_clauses(text)
+
+    def test_bracket_like_relation_label_rejected(self):
+        text = "b1 (CONT b2 b3\nb2 REF x1\nb2 dog x1\nb3 REF x2\nb3 cat x2\n"
+        with pytest.raises(DataError, match=r"bad relation label '\(CONT'"):
+            parse_clauses(text)
+
+    @pytest.mark.parametrize("label", ["dog)", ")x", "Re(f"])
+    def test_labels_that_only_hold_a_bracket_survive_the_linear_form(self, label):
+        d = parse_clauses(f"b1 REF x1\nb1 REF x2\nb1 {label} x1 x2\n")
+        t = to_tree(d)
+        assert delinearize(linearize(t)) == t
+        assert from_tree(t) == d
+
     def test_format_parse_round_trip(self, fig1_doc):
         text = format_clauses(fig1_doc)
         again = parse_clause_document(text)
@@ -484,6 +508,13 @@ class TestRevertPredicates:
         with pytest.raises(PairingError, match="spelled like a keyword"):
             revert_predicates(d, ann)
 
+    @pytest.mark.parametrize("lemma", ["(dog", ")"])
+    def test_bracket_like_lemma_raises_pairing_error(self, lemma):
+        d = parse_clauses("b1 REF e1\nb1 open.v.01 e1\n")
+        ann = SimpleAnnotation([lemma], [lemma], [AlignmentRecord(0, "open", head=True)])
+        with pytest.raises(PairingError, match="spelled like a bracket"):
+            revert_predicates(d, ann)
+
     @pytest.mark.parametrize("lemma", [5, ["dog"], b"dog"], ids=["int", "list", "bytes"])
     def test_lemma_that_is_no_str_raises_pairing_error(self, lemma):
         d = parse_clauses("b1 REF e1\nb1 open.v.01 e1\n")
@@ -618,7 +649,8 @@ class TestValidate:
         with pytest.raises(CyclicStructure, match="its own ancestor"):
             parse_clauses("b1 REF x1\nb1 dog x1\nb2 NOT b3\nb3 NOT b2\n")
 
-    @pytest.mark.parametrize("label", ["continuation", "REF", "NOT", "A", "CON TINUATION"])
+    @pytest.mark.parametrize("label", ["continuation", "REF", "NOT", "A", "CON TINUATION",
+                                       "(CONT"])
     def test_relation_labels_are_keywords(self, label):
         d = parse_clauses(PRESUPPOSED)
         with pytest.raises(DataError, match="bad relation label"):
