@@ -32,7 +32,8 @@ reads as an array of any kind but bool, integer or float (None, a string, a
 complex number or a date, which a float array would hold as NaN, the number
 it spells, its real part or a day count), and a shape that numpy rejects
 raise ``ShapeError``. A scale that ``uniform`` cannot draw from, logits
-whose largest is NaN or infinite, and a loss that is not finite raise
+whose largest is NaN or infinite, a loss that is not finite, and a gradient
+that is not finite, or whose square is not, in ``Adam.step`` raise
 ``NumericError``. An operand that is not a ``Tensor`` raises
 ``AttributeError``: that is a caller's bug, not bad data, and the ops do
 not test for it.
@@ -464,7 +465,10 @@ ADAM_EPS = 1e-8  # added to the root of Adam's second moment before dividing
 class Adam:
     """Adam over one parameter list: first/second moment estimates and a step
     counter, with ``ADAM_BETAS`` and ``ADAM_EPS``. ``step`` updates in place
-    and skips tensors with requires_grad=False."""
+    and skips tensors with requires_grad=False. A gradient whose value or
+    square is not finite raises ``NumericError`` before anything changes:
+    it would write NaN into a parameter, or make its second moment infinite
+    and so stop it moving for good."""
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
@@ -474,6 +478,13 @@ class Adam:
         self.t = 0
 
     def step(self) -> None:
+        # every grad before the first write, one square at a time: a square
+        # that overflows reads inf, which the check refuses
+        with np.errstate(over="ignore"):
+            for p in self.params:
+                if p.requires_grad and p.grad is not None and not np.isfinite(
+                        top := (p.grad * p.grad).max(initial=0.0)):
+                    raise NumericError(f"Adam step with a gradient whose square is {top}")
         b1, b2 = ADAM_BETAS
         self.t += 1
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t

@@ -30,22 +30,21 @@ All values are immutable; every operation returns a new structure. A Drs
 remembers that it passed ``validate``, and the label-only rewrites
 ``strip_senses`` and ``revert_predicates`` pass that on to their result.
 
-Construction rule: building a value, here or in ``tree``, raises
-``DataError`` unless each field is exactly of its annotated type, down to
-the class of each condition and the three parts of each relation. Unary,
-Binary and Operator check in ``__init__``. The other value types list their
-field types in ``_kinds`` for their metaclass to check, and the parser and
-the rewrites, which hold only parser tokens, build them through ``_build``,
-which skips the check.
+Construction rule: a field's type is its annotation. Calling a value type,
+here or in ``tree``, raises ``DataError`` unless each field is exactly of
+that type, down to the class of each condition and the three parts of each
+relation. The parser, the rewrites and the tree conversions, which hold
+only values already checked or parsed, build through ``_build``, which
+skips the check.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
-from types import UnionType
-from typing import Iterable, Iterator
+from dataclasses import dataclass, fields
+from functools import cache, cached_property
+from types import GenericAlias, UnionType
+from typing import Iterable, Iterator, get_type_hints
 
 from .errors import (
     AmbiguousMerge,
@@ -117,47 +116,54 @@ def _label_fault(label: str) -> tuple[str, str] | None:
 
 
 class _Checked(type):
-    """Calling a class checks the fields of the value built against ``_kinds``."""
+    """Calling a class checks each field of the value built against the
+    field's annotation."""
 
     def __call__(cls, *args, **kwargs):
         value = super().__call__(*args, **kwargs)
-        for name, kind in cls._kinds.items():
+        for name, kind in _field_types(cls):
             if not _is(field := getattr(value, name), kind):
-                want = cls.__annotations__[name]
-                raise DataError(f"{cls.__name__}.{name} is {field!r}, not {want}")
+                raise DataError(f"{cls.__name__}.{name} is {field!r}, "
+                                f"not {cls.__annotations__[name]}")
         return value
 
 
+@cache
+def _field_types(cls: type) -> tuple[tuple[str, object], ...]:
+    """Each field's name and annotated type. Read on the first checked call,
+    not when the class is made, as ``Node``'s annotation names ``Node``."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
 def _is(value, kind) -> bool:
-    """Whether ``value`` is exactly a ``kind``, written as its annotation: a
-    class, a union of classes, ``(item, ...)`` for a tuple of ``item``s, or
-    a tuple of kinds for a tuple of that length."""
+    """Whether ``value`` is exactly a ``kind``: a class, a union of classes,
+    ``tuple[item, ...]`` or a ``tuple`` of fixed length."""
     if type(kind) is UnionType:
         return type(value) in kind.__args__
-    if type(kind) is not tuple:
+    if type(kind) is not GenericAlias:
         return type(value) is kind
-    if kind[-1] is ...:
-        return type(value) is tuple and all(_is(x, kind[0]) for x in value)
-    return type(value) is tuple and len(value) == len(kind) and all(map(_is, value, kind))
+    args = kind.__args__
+    if type(value) is not tuple:
+        return False
+    if args[-1] is ...:
+        return all(_is(x, args[0]) for x in value)
+    return len(value) == len(args) and all(map(_is, value, args))
 
 
-_build = type.__call__  # builds a value without the check, for parser tokens
+_build = type.__call__  # builds a value without the check
 
 # The classes below are frozen, and their __init__ sets each slot through
 # its member descriptor: the frozen dataclass's own __init__ pays for
-# object.__setattr__ on every field, and a document builds thousands. The
-# condition classes check their fields there, on every path, as that costs
-# less than a metaclass would: it slows every isinstance test that fails.
+# object.__setattr__ on every field, and a document builds thousands.
 
 
 @dataclass(frozen=True, slots=True, init=False)
-class Unary:
+class Unary(metaclass=_Checked):
     predicate: str
     argument: str
 
     def __init__(self, predicate: str, argument: str):
-        if type(predicate) is not str or type(argument) is not str:
-            raise DataError(f"Unary fields are str, not {predicate!r} and {argument!r}")
         _set_predicate(self, predicate)
         _set_argument(self, argument)
 
@@ -167,14 +173,12 @@ class Unary:
 
 
 @dataclass(frozen=True, slots=True, init=False)
-class Binary:
+class Binary(metaclass=_Checked):
     role: str
     first: str
     second: str
 
     def __init__(self, role: str, first: str, second: str):
-        if type(role) is not str or type(first) is not str or type(second) is not str:
-            raise DataError(f"Binary fields are str, not {role!r}, {first!r} and {second!r}")
         _set_role(self, role)
         _set_first(self, first)
         _set_second(self, second)
@@ -185,14 +189,11 @@ class Binary:
 
 
 @dataclass(frozen=True, slots=True, init=False)
-class Operator:
+class Operator(metaclass=_Checked):
     op: str
     boxes: tuple[str, ...]
 
     def __init__(self, op: str, boxes: tuple[str, ...]):
-        if type(op) is not str or type(boxes) is not tuple or not all(
-                type(b) is str for b in boxes):
-            raise DataError(f"Operator fields are a str and a tuple of str, not {op!r}, {boxes!r}")
         _set_op(self, op)
         _set_boxes(self, boxes)
 
@@ -205,7 +206,6 @@ class Box(metaclass=_Checked):
     id: str
     referents: tuple[str, ...] = ()
     conditions: tuple[Condition, ...] = ()
-    _kinds = {"id": str, "referents": (str, ...), "conditions": (Condition, ...)}
 
     def __init__(self, id: str, referents: tuple[str, ...] = (),
                  conditions: tuple[Condition, ...] = ()):
@@ -230,7 +230,6 @@ _set_id, _set_referents, _set_conditions = (
 class Drs(metaclass=_Checked):
     boxes: tuple[Box, ...]
     relations: tuple[tuple[str, str, str], ...] = ()
-    _kinds = {"boxes": (Box, ...), "relations": ((str, str, str), ...)}
 
     @property
     def top(self) -> str | None:
@@ -281,7 +280,7 @@ class Drs(metaclass=_Checked):
 def _argument_fault(c: Unary | Binary, arg: str) -> str | None:
     """Why ``arg`` cannot be an argument of ``c``, or None: an argument is a
     variable or a quoted constant, and a unary predicate takes a variable."""
-    if is_variable(arg) or is_constant(arg) and isinstance(c, Binary):
+    if is_variable(arg) or is_constant(arg) and type(c) is Binary:
         return None
     if is_constant(arg):
         return f"unary predicate {c.predicate} takes a variable, got constant {arg}"
@@ -466,7 +465,6 @@ class AlignmentRecord(metaclass=_Checked):
     token: int
     predicate: str
     head: bool = False
-    _kinds = {"token": int, "predicate": str, "head": bool}
 
 
 @dataclass(frozen=True)
@@ -474,7 +472,6 @@ class ClauseDocument(metaclass=_Checked):
     drs: Drs
     alignments: tuple[AlignmentRecord, ...] = ()
     comments: tuple[str, ...] = ()
-    _kinds = {"drs": Drs, "alignments": (AlignmentRecord, ...), "comments": (str, ...)}
 
 
 _ALIGN_RE = re.compile(r"^%\s+(\d+)\s+(\S+)(\s+head)?\s*$")
@@ -539,7 +536,8 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
         if not kw.isupper() or len(kw) == 1:  # no keyword: a predicate or a role
             if len(toks) > 4:
                 raise DataError(f"line {n}: predicate clause with {len(toks) - 2} arguments")
-            c = Unary(kw, toks[2]) if len(toks) == 3 else Binary(kw, toks[2], toks[3])
+            c = (_build(Unary, kw, toks[2]) if len(toks) == 3
+                 else _build(Binary, kw, toks[2], toks[3]))
             for a in toks[2:]:
                 if a not in declared and (fault := _argument_fault(c, a)):
                     raise DataError(f"line {n}: {fault}")
@@ -557,7 +555,7 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
                     if not is_box(a):
                         raise DataError(f"line {n}: bad box id {a!r}")
                     mentioned[a] = None
-            conditions.append(Operator(kw, tuple(toks[2:])))
+            conditions.append(_build(Operator, kw, tuple(toks[2:])))
         elif len(toks) == 4 and is_box(toks[2]) and is_box(toks[3]):
             mentioned[toks[2]] = mentioned[toks[3]] = None
             relations.append((kw, toks[2], toks[3]))
@@ -611,9 +609,9 @@ def clauses(d: Drs) -> Iterator[tuple[str, ...]]:
             yield from ((top, *r) for r in d.relations)
         yield from ((box.id, "REF", v) for v in box.referents)
         for c in box.conditions:
-            if isinstance(c, Unary):
+            if type(c) is Unary:
                 yield (box.id, c.predicate, c.argument)
-            elif isinstance(c, Binary):
+            elif type(c) is Binary:
                 yield (box.id, c.role, c.first, c.second)
             else:
                 yield (box.id, c.op, *c.boxes)
@@ -670,7 +668,7 @@ def merge_presuppositions(d: Drs) -> Drs:
     # box -> the boxes whose conditions use its referents, as the input has them
     users: dict[str | None, set[str]] = {}
     for b in d.boxes:  # a constant's home is None, which no box id equals
-        used = {home.get(a) for c in b.conditions if not isinstance(c, Operator) for a in c.args}
+        used = {home.get(a) for c in b.conditions if type(c) is not Operator for a in c.args}
         for y in used:
             users.setdefault(y, set()).add(b.id)
     into: dict[str, str] = {}  # merged box -> the box it merged into
@@ -719,8 +717,8 @@ def _relabelled(d: Drs, relabel) -> Drs:
     """
     boxes = tuple(
         _build(Box, b.id, b.referents,
-               tuple(Unary(relabel(c.predicate), c.argument) if isinstance(c, Unary) else c
-                     for c in b.conditions))
+               tuple(_build(Unary, relabel(c.predicate), c.argument) if type(c) is Unary
+                     else c for c in b.conditions))
         for b in d.boxes)
     out = _build(Drs, boxes, d.relations)
     if "_valid" in d.__dict__:

@@ -21,8 +21,9 @@ Linearization is PTB-style: ``(LABEL`` opens an internal node, ``)``
 closes it, leaves stand alone, tokens are space-separated. So no leaf may
 start with ``(`` or be ``)``; ``validate`` refuses such labels.
 
-``Node``, ``DrsTree`` and ``LinearSeq`` follow the construction rule in the
-``drs`` module docstring, and the conversions here build through ``_build``.
+``Node``, ``DrsTree`` and ``LinearSeq`` follow the ``drs`` module's
+construction rule: annotated types, checked on every public build, skipped
+by ``_build``, through which the conversions here build.
 """
 
 from __future__ import annotations
@@ -100,7 +101,6 @@ class Node(metaclass=_Checked):
 
 _set_label = Node.label.__set__
 _set_children = Node.children.__set__
-Node._kinds = {"label": str, "children": (Node, ...)}
 
 
 class _Leaves(dict):
@@ -114,13 +114,11 @@ class _Leaves(dict):
 @dataclass(frozen=True)
 class DrsTree(metaclass=_Checked):
     root: Node
-    _kinds = {"root": Node}
 
 
 @dataclass(frozen=True)
 class LinearSeq(metaclass=_Checked):
     tokens: tuple[str, ...]
-    _kinds = {"tokens": (str, ...)}
 
 
 def to_tree(d: Drs) -> DrsTree:
@@ -135,16 +133,16 @@ def to_tree(d: Drs) -> DrsTree:
     known = d._by_id
     order = [known[x] for x in (d.top, *constituents)]
     for b in order:
-        order.extend(known[x] for c in b.conditions if isinstance(c, Operator)
+        order.extend(known[x] for c in b.conditions if type(c) is Operator
                      for x in c.boxes)
     nodes: dict[str, Node] = {}
     leaf = _Leaves()
     for b in reversed(order):
         children = [_build(Node, "REF", (leaf[v],)) for v in b.referents]
         for c in b.conditions:
-            if isinstance(c, Unary):
+            if type(c) is Unary:
                 children.append(_build(Node, "C1", (leaf[c.predicate], leaf[c.argument])))
-            elif isinstance(c, Binary):
+            elif type(c) is Binary:
                 children.append(_build(Node, "C2", (leaf[c.role], leaf[c.first], leaf[c.second])))
             else:
                 children.append(_build(Node, "OP", (leaf[c.op], *(nodes[x] for x in c.boxes))))
@@ -200,11 +198,11 @@ class _Builder:
             if child.label == "C1":
                 if len(kids) != 2 or kids[0].children or kids[1].children:
                     raise MalformedTree("C1 node needs 2 leaf children")
-                conditions.append(Unary(kids[0].label, self._resolve(kids[1].label)))
+                conditions.append(_build(Unary, kids[0].label, self._resolve(kids[1].label)))
             elif child.label == "C2":
                 if len(kids) != 3 or kids[0].children or kids[1].children or kids[2].children:
                     raise MalformedTree("C2 node needs 3 leaf children")
-                conditions.append(Binary(kids[0].label, self._resolve(kids[1].label),
+                conditions.append(_build(Binary, kids[0].label, self._resolve(kids[1].label),
                                          self._resolve(kids[2].label)))
             elif child.label == "REF":
                 if conditions:
@@ -224,7 +222,7 @@ class _Builder:
                 for sub in subs:
                     first = self.scopes[ids[0]] if ids and op.label in ANTECEDENT_OPERATORS else {}
                     ids.append((yield sub, first))
-                conditions.append(Operator(op.label, tuple(ids)))
+                conditions.append(_build(Operator, op.label, tuple(ids)))
             else:
                 raise MalformedTree(f"unexpected node {child.label!r} under DRS")
         self.boxes[slot] = _build(Box, box_id, tuple(referents), tuple(conditions))

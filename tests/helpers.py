@@ -245,6 +245,13 @@ WRONG_TYPES = {
     "int_node_label": lambda: Node(1),
     "str_for_root": lambda: DrsTree("DRS"),
     "alignment_list_image": lambda: Alignment(mapping={"x1": ["a"]}),
+    "binary_int_role": lambda: Binary(1, "e1", "x1"),
+    "binary_none_first": lambda: Binary("Agent", None, "x1"),
+    "operator_int_op": lambda: Operator(1, ("b2",)),
+    "int_alignment_head": lambda: AlignmentRecord(0, "dog", 1),
+    "box_for_document_drs": lambda: ClauseDocument(Box("b1")),
+    "list_alignments": lambda: ClauseDocument(parse_clauses(_DOG), [AlignmentRecord(0, "dog")]),
+    "list_conditions": lambda: Box("b1", ("x1",), [Unary("dog", "x1")]),
 }
 
 

@@ -1,12 +1,16 @@
 import gc
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from boxparse import autodiff as ad
-from boxparse.errors import NumericError, ShapeError
+from boxparse.errors import BoxparseError, NumericError, ShapeError
 from boxparse.gradcheck import check_gradients
 
 
@@ -628,6 +632,22 @@ class TestAdam:
             data = data - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
             assert np.array_equal(w.data, data)
 
+    @pytest.mark.parametrize("grad", [[np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0], [1e200] * 3],
+                             ids=["inf", "nan", "square_overflows"])
+    def test_step_with_a_non_finite_gradient_square_raises_and_changes_nothing(self, grad):
+        u = ad.tensor(np.array([0.5, -0.5]), requires_grad=True)
+        w = ad.tensor(np.ones(3), requires_grad=True)
+        opt = ad.Adam([u, w], lr=0.1)
+        u.grad, w.grad = np.array([1.0, 2.0]), np.array([1.0, 1.0, 1.0])
+        opt.step()
+        before = [x.copy() for x in (u.data, w.data, *opt.m, *opt.v)]
+        u.grad, w.grad = np.array([1.0, 2.0]), np.array(grad)
+        with pytest.raises(NumericError, match="Adam step"):
+            opt.step()
+        for x, was in zip((u.data, w.data, *opt.m, *opt.v), before):
+            np.testing.assert_array_equal(x, was)
+        assert opt.t == 1
+
     def test_clip_grad_norm(self):
         w = ad.tensor(np.zeros(3), requires_grad=True)
         w.grad = np.array([3.0, 4.0, 0.0])
@@ -651,3 +671,66 @@ class TestAdam:
             ad.clip_grad_norm([u, w], 1.0)
         for t, g in zip((u, w), before):
             np.testing.assert_array_equal(t.grad, g)
+
+
+# -- the numeric contract: any data gives a result or a BoxparseError ---------
+
+# ordinary, huge, infinite and NaN floats
+NUMBERS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(
+    [1e200, -1e200, sys.float_info.max, math.inf, -math.inf, math.nan]))
+# op name -> the op on two pool tensors, a float and an int
+OPS = {
+    "add": lambda a, b, k, n: ad.add(a, b),
+    "mul": lambda a, b, k, n: ad.mul(a, b),
+    "scale": lambda a, b, k, n: ad.scale(a, k),
+    "matmul": lambda a, b, k, n: ad.matmul(a, b),
+    "dot": lambda a, b, k, n: ad.dot(a, b),
+    "concat": lambda a, b, k, n: ad.concat([a, b]),
+    "sum_over": lambda a, b, k, n: ad.sum_over([a, b]),
+    "tanh": lambda a, b, k, n: ad.tanh(a),
+    "reduce_sum": lambda a, b, k, n: ad.reduce_sum(a),
+    "softmax": lambda a, b, k, n: ad.softmax(a),
+    "softmax_cross_entropy": lambda a, b, k, n: ad.softmax_cross_entropy(a, n),
+    "embedding_lookup": lambda a, b, k, n: ad.embedding_lookup(a, n),
+}
+LEAVES = st.lists(st.tuples(st.booleans(), arrays(np.float64, array_shapes(
+    min_dims=0, max_dims=2, min_side=0, max_side=3), elements=NUMBERS)), min_size=1, max_size=4)
+PROGRAM_OPS = st.lists(st.tuples(st.sampled_from(sorted(OPS)), st.integers(0, 7),
+                                 st.integers(0, 7), NUMBERS, st.integers(-1, 3)), max_size=6)
+
+
+@given(LEAVES, PROGRAM_OPS, st.lists(st.booleans(), max_size=4),
+       st.sampled_from([1.0, math.inf]), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+# tanh saturates at an infinite input, so the loss is finite and the
+# parameter's gradient 0 * inf, NaN, which no clip_grad_norm call saw
+@example([(True, np.ones(1)), (False, np.full(1, math.inf))],
+         [("mul", 0, 1, 1.0, 0), ("tanh", 2, 2, 1.0, 0), ("reduce_sum", 3, 3, 1.0, 0)],
+         [False], 1.0, 1)
+def test_op_programs_keep_the_numeric_contract(leaves, ops, clipped, max_norm, steps):
+    """Forward, ``backward``, ``clip_grad_norm`` over the parameters that
+    ``clipped`` marks, as a caller that clips one group only, and
+    ``Adam.step``, ``steps`` times: only a ``BoxparseError`` escapes, and no
+    parameter entry that was finite becomes NaN or infinite."""
+    tensors = [ad.tensor(x.copy(), requires_grad=p) for p, x in leaves]
+    params = [t for t in tensors if t.requires_grad]
+    finite = [np.isfinite(p.data) for p in params]
+    opt = ad.Adam(params, lr=0.01)
+    # A numpy warning is no escape: the result or the error that follows it
+    # is what counts. But pyproject.toml's filterwarnings = error would turn
+    # one, say mul's overflow, into an exception.
+    with np.errstate(all="ignore"):
+        try:
+            for _ in range(steps):
+                pool = list(tensors)
+                for name, i, j, k, n in ops:
+                    pool.append(OPS[name](pool[i % len(pool)], pool[j % len(pool)], k, n))
+                loss = pool[-1] if pool[-1].data.ndim == 0 else ad.reduce_sum(pool[-1])
+                opt.zero_grad()
+                ad.backward(loss)
+                ad.clip_grad_norm([p for p, c in zip(params, clipped) if c], max_norm)
+                opt.step()
+        except BoxparseError:
+            pass
+    for p, was in zip(params, finite):
+        assert np.isfinite(p.data[was]).all()

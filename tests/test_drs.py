@@ -1,6 +1,6 @@
 import re
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -760,6 +760,17 @@ class TestValues:
     def test_wrong_typed_field_raises_data_error(self, make):
         with pytest.raises(DataError):
             make()
+
+    def test_every_checked_field_has_a_wrong_type(self):
+        refused = set()
+        for make in WRONG_TYPES.values():
+            with pytest.raises(DataError) as e:
+                make()
+            if m := re.match(r"(\w+)\.(\w+) is ", str(e.value)):
+                refused.add(m.groups())
+        checked = (Unary, Binary, Operator, Box, Drs, AlignmentRecord, ClauseDocument,
+                   Node, DrsTree, LinearSeq)
+        assert refused == {(c.__name__, f.name) for c in checked for f in fields(c)}
 
     @pytest.mark.parametrize("make", RIGHT_TYPES.values(), ids=RIGHT_TYPES)
     def test_right_typed_fields_build(self, make):
