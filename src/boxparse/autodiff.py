@@ -30,13 +30,16 @@ leaves every other gradient as it was.
 Every tensor is float64. Data that numpy cannot turn into an array, or
 reads as an array of any kind but bool, integer or float (None, a string, a
 complex number or a date, which a float array would hold as NaN, the number
-it spells, its real part or a day count), and a shape that numpy rejects
-raise ``ShapeError``. A scale that ``uniform`` cannot draw from, logits
+it spells, its real part or a day count), a softmax mask that numpy reads
+as anything but bool or integer, and a shape that numpy rejects raise
+``ShapeError``. A scale that ``uniform`` cannot draw from, logits
 whose largest is NaN or infinite, a loss that is not finite, and a gradient
 that is not finite, or whose square is not, in ``Adam.step`` raise
-``NumericError``. An operand that is not a ``Tensor`` raises
-``AttributeError``: that is a caller's bug, not bad data, and the ops do
-not test for it.
+``NumericError``. A ``clip_grad_norm`` ``max_norm`` that is not above 0
+(NaN included) and an ``Adam`` learning rate that is not finite and above 0
+raise ``ConfigError`` before any gradient or parameter changes. An operand
+that is not a ``Tensor`` raises ``AttributeError``: that is a caller's bug,
+not bad data, and the ops do not test for it.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from operator import attrgetter, index as _as_index
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 class Tensor:
     """A dense array with an optional gradient and parent links.
@@ -59,13 +62,8 @@ class Tensor:
                  "_created", "_factors")
 
     def __init__(self, data, requires_grad: bool = False):
-        try:
-            data = np.asarray(data)
-        except (TypeError, ValueError) as e:
-            raise ShapeError(f"not a float array: {e}") from None
-        if data.dtype.kind not in "biuf":  # else None would read as NaN, "1" as 1.0
-            raise ShapeError(f"not a float array: numpy reads the data as {data.dtype}")
-        self.data = data.astype(np.float64, copy=False)
+        # numpy kinds b, i, u, f only: else None would read as NaN, "1" as 1.0
+        self.data = _as_array(data, "biuf", "float array").astype(np.float64, copy=False)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -90,6 +88,18 @@ class Tensor:
             self.grad = g if fresh and type(g) is np.ndarray else np.array(g)
         else:
             self.grad += g
+
+
+def _as_array(data, kinds: str, what: str) -> np.ndarray:
+    """``data`` as a numpy array whose dtype kind is one of ``kinds``; data
+    that numpy cannot read as one raises ShapeError, naming ``what``."""
+    try:
+        data = np.asarray(data)
+    except (TypeError, ValueError) as e:
+        raise ShapeError(f"not a {what}: {e}") from None
+    if data.dtype.kind not in kinds:
+        raise ShapeError(f"not a {what}: numpy reads the data as {data.dtype}")
+    return data
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -341,7 +351,8 @@ def _embedding_backward(node: Tensor, g: np.ndarray) -> None:
 def _masked_softmax(logits: np.ndarray, mask) -> np.ndarray:
     z = logits
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
+        # bool or integer only: a string, a NaN or a 0.5 would read as "keep"
+        mask = _as_array(mask, "biu", "bool mask").astype(bool, copy=False)
         if mask.shape != z.shape:
             raise ShapeError("mask shape must match logits")
         if not mask.any():
@@ -438,10 +449,14 @@ def backward(loss: Tensor) -> None:
 
 
 def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
-    """Scale all grads so their global L2 norm is at most ``max_norm``. A
-    norm that is not finite raises ``NumericError`` and changes no grad.
-    Finite grads whose squares overflow are measured again, divided by
-    their largest magnitude."""
+    """Scale all grads so their global L2 norm is at most ``max_norm``, and
+    return the norm they had. An infinite ``max_norm`` only measures, and
+    one that is not above 0 raises ``ConfigError``. A norm that is not
+    finite raises ``NumericError``. Either changes no grad. Finite grads
+    whose squares overflow are measured again, divided by their largest
+    magnitude."""
+    if not max_norm > 0.0:  # NaN too
+        raise ConfigError(f"clip_grad_norm needs max_norm > 0, got {max_norm}")
     grads = [p.grad for p in params if p.grad is not None]
     with np.errstate(over="ignore"):
         norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
@@ -451,7 +466,7 @@ def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
             norm = big * float(np.sqrt(sum(float(((g / big) ** 2).sum()) for g in grads)))
     if not np.isfinite(norm):
         raise NumericError(f"gradient norm is {norm}")
-    if norm > max_norm > 0.0:
+    if norm > max_norm:
         k = max_norm / norm
         for g in grads:
             g *= k
@@ -468,9 +483,12 @@ class Adam:
     and skips tensors with requires_grad=False. A gradient whose value or
     square is not finite raises ``NumericError`` before anything changes:
     it would write NaN into a parameter, or make its second moment infinite
-    and so stop it moving for good."""
+    and so stop it moving for good. A learning rate that is not finite and
+    above 0 raises ``ConfigError``."""
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3):
+        if not 0.0 < lr < np.inf:  # NaN too
+            raise ConfigError(f"Adam needs a finite learning rate > 0, got {lr}")
         self.params = list(params)
         self.lr = lr
         self.m = [np.zeros_like(p.data) for p in self.params]

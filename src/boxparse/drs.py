@@ -27,8 +27,11 @@ sense suffix. No token holds whitespace. DRSs in one file are separated by
 blank lines.
 
 All values are immutable; every operation returns a new structure. A Drs
-remembers that it passed ``validate``, and the label-only rewrites
-``strip_senses`` and ``revert_predicates`` pass that on to their result.
+remembers that it passed ``validate``. The parser and ``tree.from_tree``
+check untrusted input in full. ``merge_presuppositions`` and the label-only
+rewrites ``strip_senses`` and ``revert_predicates`` carry validity: no rule
+can fail on what they build from a valid DRS, so they pass its check on to
+their result unrun.
 
 Construction rule: a field's type is its annotation. Calling a value type,
 here or in ``tree``, raises ``DataError`` unless each field is exactly of
@@ -341,6 +344,14 @@ def validate(d: Drs) -> Drs:
     """
     d._valid
     return d
+
+
+def _passed_on(out: Drs, source: Drs) -> Drs:
+    """``out``, remembered as passed if ``source`` passed ``validate``: for a
+    step that builds only valid DRSs from a valid one."""
+    if "_valid" in source.__dict__:
+        out.__dict__["_valid"] = True
+    return out
 
 
 def _check(d: Drs) -> None:
@@ -659,6 +670,27 @@ def merge_presuppositions(d: Drs) -> Drs:
     those merged into it. Idempotent: a DRS with no presupposed boxes is
     returned as-is. An invalid ``d`` raises what ``validate`` raises; by the
     root rule, no P is embedded and none holds the top box.
+
+    The result is valid, and it is returned marked as passed, unchecked.
+    Each rule of ``validate`` that ``d`` met still holds after a merge:
+
+    - Box ids, referent names, labels, operator arity, relation labels and
+      constants are copied unchanged. Each merged box lands in exactly one
+      surviving box, through ``taken``, so no box, referent or condition is
+      duplicated.
+    - Root rule: no operator or relation embeds a presupposed box. So no
+      plain box changes between embedded and root, the top stays the top
+      and keeps its lines, and every presupposed box is removed.
+    - No cycles: the target is never nested in P, because consumers nested
+      in P are left out of the choice.
+    - Scope: the target is a nesting ancestor of every consumer, or the
+      consumer itself, so it is open at each one; the boxes nested in P move
+      with it under the target. P's own conditions can use only P's
+      referents, presupposed referents or constants, because only P is open
+      at a root. A presupposed box they use joins P's group if it comes
+      earlier. If it comes later, it merges into an ancestor of P's target,
+      or into that target itself.
+    - Text order: ``_in_text_order`` puts the boxes back in text order.
     """
     validate(d)
     if not any(b.presupposed for b in d.boxes):
@@ -702,10 +734,7 @@ def merge_presuppositions(d: Drs) -> Drs:
         Box, b.id, sum((known[x].referents for x in taken[b.id]), b.referents),
         sum((known[x].conditions for x in taken[b.id]), b.conditions))
         for b in d.boxes if b.id not in into)
-    try:
-        return validate(_in_text_order(_build(Drs, boxes, d.relations)))
-    except DataError as e:
-        raise AmbiguousMerge(f"merging presupposed boxes broke accessibility: {e}") from e
+    return _passed_on(_in_text_order(_build(Drs, boxes, d.relations)), d)
 
 
 def _relabelled(d: Drs, relabel) -> Drs:
@@ -720,10 +749,7 @@ def _relabelled(d: Drs, relabel) -> Drs:
                tuple(_build(Unary, relabel(c.predicate), c.argument) if type(c) is Unary
                      else c for c in b.conditions))
         for b in d.boxes)
-    out = _build(Drs, boxes, d.relations)
-    if "_valid" in d.__dict__:
-        out.__dict__["_valid"] = True
-    return out
+    return _passed_on(_build(Drs, boxes, d.relations), d)
 
 
 def strip_senses(d: Drs) -> Drs:

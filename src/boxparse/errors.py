@@ -1,10 +1,13 @@
 """Exception taxonomy.
 
 ``BoxparseError`` is the root, and ``DataError``, ``ConfigError`` and
-``NumericError`` are the family bases. Every other class here is raised
-somewhere in the package. The planned command-line interface (ROADMAP
-item 5) maps the families to exit codes: ConfigError -> 2, DataError -> 3,
-NumericError -> 4.
+``NumericError`` are the family bases. Every class here but
+``BoxparseError``, ``DataError`` and ``NumericError`` is raised somewhere
+in the package. ``ConfigError`` is raised for a setting: by
+``autodiff.clip_grad_norm`` for a ``max_norm`` that is not above 0, and by
+``autodiff.Adam`` for a learning rate that is not finite and above 0. The
+planned command-line interface (ROADMAP item 5) maps the families to exit
+codes: ConfigError -> 2, DataError -> 3, NumericError -> 4.
 
 Data is what a caller reads from outside: clause text, and the fields of a
 value being built. Data of any shape raises a ``BoxparseError``; so the
@@ -61,7 +64,7 @@ class PairingError(DataError):
 
 
 class ConfigError(BoxparseError):
-    """Invalid configuration requested."""
+    """A setting a caller gives is out of its range."""
 
 
 class NumericError(BoxparseError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from boxparse import autodiff as ad
-from boxparse.errors import BoxparseError, NumericError, ShapeError
+from boxparse.errors import BoxparseError, ConfigError, NumericError, ShapeError
 from boxparse.gradcheck import check_gradients
 
 
@@ -76,8 +76,11 @@ class TestForwardOps:
             ad.add(ad.tensor(np.ones(2)), ad.tensor(np.ones(3)))
         with pytest.raises(ShapeError):
             ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3))))
-        with pytest.raises(ShapeError):
-            ad.softmax(ad.tensor(np.ones(3)), mask=[False, False, False])
+        # a mask all masked out, or one that numpy reads as no bool or integer array
+        for mask in ([False, False, False], ["a", "b", "c"], [0.5, 1.0, 1.0], [np.nan, 1.0, 1.0],
+                     [[1], [1, 0]]):
+            with pytest.raises(ShapeError):
+                ad.softmax(ad.tensor(np.ones(3)), mask=mask)
         with pytest.raises(ShapeError):
             ad.backward(ad.tensor(np.ones(2)))
 
@@ -697,30 +700,57 @@ LEAVES = st.lists(st.tuples(st.booleans(), arrays(np.float64, array_shapes(
     min_dims=0, max_dims=2, min_side=0, max_side=3), elements=NUMBERS)), min_size=1, max_size=4)
 PROGRAM_OPS = st.lists(st.tuples(st.sampled_from(sorted(OPS)), st.integers(0, 7),
                                  st.integers(0, 7), NUMBERS, st.integers(-1, 3)), max_size=6)
+# good and bad settings, each half the time
+MAX_NORMS = st.one_of(st.sampled_from([1.0, math.inf]), st.sampled_from([0.0, -1.0, math.nan]))
+LEARNING_RATES = st.one_of(st.just(0.01), st.sampled_from([0.0, -0.01, math.inf, math.nan]))
 
 
-@given(LEAVES, PROGRAM_OPS, st.lists(st.booleans(), max_size=4),
-       st.sampled_from([1.0, math.inf]), st.integers(1, 3))
+def setting_call(call, setting, good: bool, fallback, params: list):
+    """``call(setting)``, which raises ``ConfigError`` if and only if the
+    setting is not ``good``. A bad one must change no parameter or gradient,
+    and then ``call(fallback)``, a good setting, runs so the program goes on."""
+    held = [(p.data.copy(), None if p.grad is None else p.grad.copy()) for p in params]
+    try:
+        out = call(setting)
+    except BoxparseError as e:
+        assert isinstance(e, ConfigError) != good, e
+        if good:
+            raise
+    else:
+        assert good, f"{setting} raised nothing"
+        return out
+    for p, (data, grad) in zip(params, held):
+        np.testing.assert_array_equal(p.data, data)
+        assert (p.grad is None) if grad is None else np.array_equal(p.grad, grad, equal_nan=True)
+    return call(fallback)
+
+
+@given(LEAVES, PROGRAM_OPS, st.lists(st.booleans(), max_size=4), MAX_NORMS, LEARNING_RATES,
+       st.integers(1, 3))
 @settings(max_examples=300, deadline=None)
 # tanh saturates at an infinite input, so the loss is finite and the
 # parameter's gradient 0 * inf, NaN, which no clip_grad_norm call saw
 @example([(True, np.ones(1)), (False, np.full(1, math.inf))],
          [("mul", 0, 1, 1.0, 0), ("tanh", 2, 2, 1.0, 0), ("reduce_sum", 3, 3, 1.0, 0)],
-         [False], 1.0, 1)
-def test_op_programs_keep_the_numeric_contract(leaves, ops, clipped, max_norm, steps):
+         [False], 1.0, 0.01, 1)
+def test_op_programs_keep_the_numeric_contract(leaves, ops, clipped, max_norm, lr, steps):
     """Forward, ``backward``, ``clip_grad_norm`` over the parameters that
     ``clipped`` marks, as a caller that clips one group only, and
     ``Adam.step``, ``steps`` times: only a ``BoxparseError`` escapes, and no
-    parameter entry that was finite becomes NaN or infinite."""
+    parameter entry that was finite becomes NaN or infinite. A ``max_norm``
+    that is not above 0 and a learning rate that is not finite and above 0
+    raise ``ConfigError`` where they are given, before anything changes; the
+    program then goes on with ``max_norm`` 1 or learning rate 0.01."""
     tensors = [ad.tensor(x.copy(), requires_grad=p) for p, x in leaves]
     params = [t for t in tensors if t.requires_grad]
     finite = [np.isfinite(p.data) for p in params]
-    opt = ad.Adam(params, lr=0.01)
     # A numpy warning is no escape: the result or the error that follows it
     # is what counts. But pyproject.toml's filterwarnings = error would turn
     # one, say mul's overflow, into an exception.
     with np.errstate(all="ignore"):
         try:
+            opt = setting_call(lambda lr: ad.Adam(params, lr=lr), lr, 0.0 < lr < math.inf,
+                               0.01, params)
             for _ in range(steps):
                 pool = list(tensors)
                 for name, i, j, k, n in ops:
@@ -728,7 +758,9 @@ def test_op_programs_keep_the_numeric_contract(leaves, ops, clipped, max_norm, s
                 loss = pool[-1] if pool[-1].data.ndim == 0 else ad.reduce_sum(pool[-1])
                 opt.zero_grad()
                 ad.backward(loss)
-                ad.clip_grad_norm([p for p, c in zip(params, clipped) if c], max_norm)
+                group = [p for p, c in zip(params, clipped) if c]
+                setting_call(lambda m: ad.clip_grad_norm(group, m), max_norm, max_norm > 0.0,
+                             1.0, params)
                 opt.step()
         except BoxparseError:
             pass

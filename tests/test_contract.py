@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import RELATION_POOL, random_drs, random_presupposed_drs
+from helpers import RELATION_POOL, random_drs, random_presupposed_drs, rechecked
 
 from boxparse.drs import (
     OPERATORS,
@@ -118,12 +118,19 @@ def edit_tokens(seq: list, kind: str, i: int, j: int, k: int) -> None:
 @given(SEEDS, edits(LINE_EDITS))
 @settings(max_examples=100, deadline=None)
 def test_edited_clause_text_raises_only_boxparse_errors(seed, line_edits):
-    lines = format_clauses(random_drs(np.random.default_rng(seed))).splitlines()
+    rng = np.random.default_rng(seed)
+    d = random_presupposed_drs(rng) if seed % 2 else random_drs(rng)
+    lines = format_clauses(d).splitlines()
     for edit in line_edits:
         if lines:
             edit_lines(lines, *edit)
     try:
-        merged = strip_senses(merge_presuppositions(parse_clauses("\n".join(lines))))
+        merged = merge_presuppositions(parse_clauses("\n".join(lines)))
+    except BoxparseError:
+        return
+    validate(rechecked(merged))  # merged carries the parse's check; a fresh copy runs its own
+    try:
+        merged = strip_senses(merged)
         back = from_tree(delinearize(linearize(to_tree(merged))))
         score(back, merged)
     except BoxparseError:
@@ -250,6 +257,7 @@ def test_valid_merged_drs_survives_the_linear_form(d):
         merged = merge_presuppositions(d)
     except AmbiguousMerge:
         return
+    validate(rechecked(merged))  # merged carries d's check; a fresh copy runs its own
     t = to_tree(merged)
     assert delinearize(linearize(t)) == t
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 from boxparse import errors
 
-FAMILY_BASES = {"BoxparseError", "DataError", "ConfigError", "NumericError"}
+FAMILY_BASES = {"BoxparseError", "DataError", "NumericError"}
 
 
 def test_every_error_class_is_raised():
