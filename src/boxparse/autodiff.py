@@ -21,11 +21,17 @@ one matrix product. Leaves have no backward of their own, so nothing reads
 their gradient before then, and no pending factor outlives the call, even
 one that raises.
 
-No two tensors share a gradient array: an op's backward adopts a gradient
-it computes fresh, and copies one it passes on unchanged (``add`` and
-``sum_over`` pass theirs to each operand, ``concat`` a slice to each part).
-So scaling one tensor's gradient in place, as ``clip_grad_norm`` does,
-leaves every other gradient as it was.
+A backward hands each operand its gradient through ``Tensor._accumulate``,
+the one place that fits a gradient to its tensor: it sums the leading axes
+that broadcasting added (a row bias, a scalar operand) and spreads a 0-d
+gradient over the tensor. So the sums ``add``, ``sum_over`` and
+``reduce_sum`` share one backward, which hands ``g`` to each operand, and
+the products ``mul`` and ``dot`` share one, which hands each factor ``g``
+times the other. No two tensors share a gradient array: ``_accumulate``
+adopts a gradient the backward computed fresh, and copies one passed on
+unchanged (a sum's ``g``, a spread scalar); ``concat`` copies its ``g``
+once and hands each part a disjoint slice. So scaling one tensor's gradient
+in place, as ``clip_grad_norm`` does, leaves every other gradient as it was.
 
 Every tensor is float64. Data that numpy cannot turn into an array, or
 reads as an array of any kind but bool, integer or float (None, a string, a
@@ -82,8 +88,17 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add ``g`` to the gradient; a ``fresh`` array, one that nothing else
-        holds, becomes the first gradient itself, and any other is copied."""
+        """Add ``g``, fitted to this tensor's shape, to the gradient. A ``g``
+        with more axes has the leading ones that broadcasting added summed
+        away, and a 0-d ``g`` is spread over the tensor. A ``fresh`` array,
+        one that nothing else holds, becomes the first gradient itself, and
+        any other is copied."""
+        shape = self.data.shape
+        if g.shape != shape:
+            if g.ndim > len(shape):
+                g, fresh = (g.sum(axis=0) if shape else g.sum()), True
+            else:  # a read-only view, so it is copied, not adopted
+                g, fresh = np.broadcast_to(g, shape), False
         if self.grad is None:
             self.grad = g if fresh and type(g) is np.ndarray else np.array(g)
         else:
@@ -160,24 +175,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if not (a.data.shape == b.data.shape or a.data.ndim == 0 or b.data.ndim == 0
             or a.data.ndim == 2 and b.data.shape == a.data.shape[1:]):
         raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return _make(a.data + b.data, (a, b), _add_backward)
+    return _make(a.data + b.data, (a, b), _sum_backward)
 
 
-def _add_backward(node: Tensor, g: np.ndarray) -> None:
-    a, b = node._parents
-    if a.requires_grad or a._parents:
-        _acc_reduced(a, g)
-    if b.requires_grad or b._parents:
-        _acc_reduced(b, g)
-
-
-def _acc_reduced(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
-    """Accumulate g into t, summing the leading axes that broadcasting added."""
-    if g.ndim > t.data.ndim:
-        g, fresh = (g.sum(axis=0) if t.data.ndim else g.sum()), True
-    if g.shape != t.data.shape:
-        raise ShapeError(f"gradient shape {g.shape} does not reduce to {t.data.shape}")
-    t._accumulate(g, fresh)
+def _sum_backward(node: Tensor, g: np.ndarray) -> None:
+    """For a sum (``add``, ``sum_over``, ``reduce_sum``): each operand that
+    wants a gradient gets ``g``."""
+    for p in node._parents:
+        if p.requires_grad or p._parents:
+            p._accumulate(g)
 
 
 def scale(a: Tensor, k: float) -> Tensor:
@@ -200,9 +206,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def _mul_backward(node: Tensor, g: np.ndarray) -> None:
     a, b = node._parents
     if a.requires_grad or a._parents:
-        _acc_reduced(a, g * b.data, True)
+        a._accumulate(g * b.data, True)
     if b.requires_grad or b._parents:
-        _acc_reduced(b, g * a.data, True)
+        b._accumulate(g * a.data, True)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -249,15 +255,7 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     if x.ndim != 1 or x.shape != y.shape:
         raise ShapeError(f"dot: need equal 1D shapes, got {x.shape}, {y.shape}")
     # ndarray.dot skips the dispatch of ``@`` and gives the same bits on vectors
-    return _make(x.dot(y), (a, b), _dot_backward)
-
-
-def _dot_backward(node: Tensor, g: np.ndarray) -> None:
-    a, b = node._parents
-    if a.requires_grad or a._parents:
-        a._accumulate(g * b.data, True)
-    if b.requires_grad or b._parents:
-        b._accumulate(g * a.data, True)
+    return _make(x.dot(y), (a, b), _mul_backward)
 
 
 def concat(parts: list[Tensor]) -> Tensor:
@@ -306,26 +304,18 @@ def sum_over(parts: list[Tensor]) -> Tensor:
     out_data = parts[0].data.copy()
     for p in parts[1:]:
         out_data += p.data
-    return _make(out_data, tuple(parts), _sum_over_backward)
-
-
-def _sum_over_backward(node: Tensor, g: np.ndarray) -> None:
-    for p in node._parents:
-        if p.requires_grad or p._parents:
-            p._accumulate(g)
+    return _make(out_data, tuple(parts), _sum_backward)
 
 
 def reduce_sum(a: Tensor) -> Tensor:
-    return _make(a.data.sum(), (a,), _reduce_sum_backward)
-
-
-def _reduce_sum_backward(node: Tensor, g: np.ndarray) -> None:
-    node._parents[0]._accumulate(np.full_like(node._parents[0].data, g), True)
+    return _make(a.data.sum(), (a,), _sum_backward)
 
 
 def _index(i, n: int, what: str) -> int:
-    """``i`` as an int in range(n); anything else raises ShapeError."""
+    """``i`` as an int in range(n); anything else, a bool too, raises ShapeError."""
     try:
+        if isinstance(i, bool):  # an int to Python, which reads True as 1
+            raise TypeError
         k = _as_index(i)
     except TypeError:
         raise ShapeError(f"{what} {i!r} is not an integer") from None

@@ -357,9 +357,12 @@ def _climb(index: _PairIndex, mapping: dict[str, str],
 def best_alignment(pred: ClauseSet, gold: ClauseSet) -> tuple[Alignment, int]:
     """Search for the symbol alignment maximizing matched clauses.
 
-    The returned count is a lower bound on the true optimum; on small
-    symbol sets the greedy start plus random restarts reach it. The
-    alignment carries the search statistics summed over all climbs.
+    The returned count is a lower bound on the true optimum, and it can
+    fall short on small pairs too (ROADMAP item 18): when a sort has more
+    predicted than gold symbols, every random start maps the same predicted
+    symbols, and a match that needs two symbols moved at once is a plateau
+    for the climb's single moves. The alignment carries the search
+    statistics summed over all climbs.
 
     One ``_PairIndex`` serves the whole search: it codes the pair's tokens,
     keys every clause exactly, and holds the signature keys the greedy

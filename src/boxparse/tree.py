@@ -258,28 +258,28 @@ def from_tree(t: DrsTree) -> Drs:
     """
     root = t.root
     builder = _Builder()
+    relations = []
     if root.label == "DRS":
         builder.read(root, {})
-        return validate(_in_text_order(_build(Drs, tuple(builder.boxes))))
-    if root.label != "SDRS":
+    elif root.label == "SDRS":
+        drs_kids = [c for c in root.children if c.label == "DRS"]
+        rel_kids = [c for c in root.children if c.label == "REL"]
+        if len(drs_kids) + len(rel_kids) != len(root.children):
+            raise MalformedTree("SDRS children must be DRS or REL nodes")
+        if len(drs_kids) < 3 or not rel_kids:
+            raise MalformedTree("SDRS needs a top box, at least two constituents and a relation")
+        if root.children[0].label != "DRS":
+            raise MalformedTree("first SDRS child must be the top box")
+        top = builder.read(root.children[0], {})
+        k = {f"K{i}": builder.read(c, builder.scopes[top])
+             for i, c in enumerate(drs_kids[1:], start=1)}
+        for rel in rel_kids:
+            label, ka, kb = _Builder._leaf_token(rel, 3)
+            if ka not in k or kb not in k:
+                raise MalformedTree(f"bad constituent index in ({label} {ka} {kb})")
+            relations.append((label, k[ka], k[kb]))
+    else:
         raise MalformedTree(f"root must be DRS or SDRS, got {root.label!r}")
-    drs_kids = [c for c in root.children if c.label == "DRS"]
-    rel_kids = [c for c in root.children if c.label == "REL"]
-    if len(drs_kids) + len(rel_kids) != len(root.children):
-        raise MalformedTree("SDRS children must be DRS or REL nodes")
-    if len(drs_kids) < 3 or not rel_kids:
-        raise MalformedTree("SDRS needs a top box, at least two constituents and a relation")
-    if root.children[0].label != "DRS":
-        raise MalformedTree("first SDRS child must be the top box")
-    top = builder.read(root.children[0], {})
-    k = {f"K{i}": builder.read(c, builder.scopes[top])
-         for i, c in enumerate(drs_kids[1:], start=1)}
-    relations = []
-    for rel in rel_kids:
-        label, ka, kb = _Builder._leaf_token(rel, 3)
-        if ka not in k or kb not in k:
-            raise MalformedTree(f"bad constituent index in ({label} {ka} {kb})")
-        relations.append((label, k[ka], k[kb]))
     return validate(_in_text_order(_build(Drs, tuple(builder.boxes), tuple(relations))))
 
 

@@ -75,10 +75,16 @@ class TestForwardOps:
         with pytest.raises(ShapeError):
             ad.add(ad.tensor(np.ones(2)), ad.tensor(np.ones(3)))
         with pytest.raises(ShapeError):
+            ad.mul(ad.tensor(np.ones(2)), ad.tensor(np.ones(3)))
+        with pytest.raises(ShapeError):
             ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3))))
-        # a mask all masked out, or one that numpy reads as no bool or integer array
-        for mask in ([False, False, False], ["a", "b", "c"], [0.5, 1.0, 1.0], [np.nan, 1.0, 1.0],
-                     [[1], [1, 0]]):
+        for join in ad.concat, ad.sum_over:
+            with pytest.raises(ShapeError):
+                join([])
+        # a mask all masked out, of another shape than the logits, or one
+        # that numpy reads as no bool or integer array
+        for mask in ([False, False, False], [True, True], ["a", "b", "c"], [0.5, 1.0, 1.0],
+                     [np.nan, 1.0, 1.0], [[1], [1, 0]]):
             with pytest.raises(ShapeError):
                 ad.softmax(ad.tensor(np.ones(3)), mask=mask)
         with pytest.raises(ShapeError):
@@ -158,7 +164,7 @@ class TestForwardOps:
         assert np.allclose(table.grad[2], 1.0)
         assert np.allclose(table.grad[[0, 1, 3]], 0.0)
 
-    @pytest.mark.parametrize("index", [1.5, "1", None, np.float64(1.0), 4, -1])
+    @pytest.mark.parametrize("index", [1.5, "1", None, np.float64(1.0), 4, -1, True, np.True_])
     def test_index_that_is_no_integer_in_range_raises_shape_error(self, index):
         table = ad.tensor(np.ones((4, 3)), requires_grad=True)
         with pytest.raises(ShapeError):

@@ -77,6 +77,8 @@ class TestParseClauses:
         assert b3.referents == ("e2", "x1")
         assert Binary("Theme", "e2", "x1") in b3.conditions
         assert Unary("open.v.01", "e2") in b3.conditions
+        with pytest.raises(DataError, match="no box 'b9'"):
+            fig1_drs.box("b9")
 
     def test_alignments_parsed(self, fig1_doc):
         preds = {r.predicate for r in fig1_doc.alignments}
@@ -87,6 +89,8 @@ class TestParseClauses:
     def test_empty_file(self):
         with pytest.raises(EmptyInput):
             parse_clauses("")
+        with pytest.raises(EmptyInput, match="no clause blocks"):
+            parse_clause_documents("\n\n")
 
     @pytest.mark.parametrize("parse", [parse_clause_document, parse_clauses,
                                        parse_clause_documents])
@@ -574,6 +578,18 @@ class TestValidate:
         d = Drs(boxes=(Box("b1", ("e1",), (Unary("run", "e1"),)), Box("b2")))
         with pytest.raises(DataError):
             validate(d)
+
+    @pytest.mark.parametrize("boxes, relations, message", [
+        ((Box("b1", ("x1",), (Unary("dog", "x1"),)), Box("b1", ("x2",), (Unary("cat", "x2"),))),
+         (), "duplicate box ids"),
+        ((Box("b1", ("x1",), (Unary("dog", "x1"), Operator("NOT", ("b9",)))),),
+         (), "operator references unknown box 'b9'"),
+        ((Box("b1"), Box("b2", ("x1",), (Unary("dog", "x1"),))),
+         (("CONTINUATION", "b2", "b9"),), "relation CONTINUATION references unknown box 'b9'"),
+    ], ids=["duplicate", "operator", "relation"])
+    def test_each_box_id_names_one_box(self, boxes, relations, message):
+        with pytest.raises(DataError, match=message):
+            validate(Drs(boxes, relations))
 
     def test_failed_check_raises_again(self):
         bad = Drs(boxes=(Box("b1", ("q1",), ()),))

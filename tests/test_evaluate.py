@@ -19,6 +19,7 @@ from boxparse.evaluate import (
     _UNMAPPED,
     Alignment,
     ClauseSet,
+    ScoreReport,
     _climb,
     _PairIndex,
     _random_init,
@@ -310,6 +311,21 @@ class TestScore:
         assert total.matched == 4
         assert total.precision == 1.0
         assert total.recall == pytest.approx(4 / 6)
+
+    def test_micro_average_sums_each_category_over_the_reports_that_hold_it(self):
+        reports = [ScoreReport(3, 4, 5, {"lexical": ScoreReport(1, 2, 2),
+                                         "operators": ScoreReport(2, 2, 3)}),
+                   ScoreReport(1, 1, 2, {"lexical": ScoreReport(1, 1, 2)})]
+        total = micro_average(reports)
+        assert (total.matched, total.n_predicted, total.n_gold) == (4, 5, 7)
+        assert total.per_category == {"lexical": ScoreReport(2, 3, 4),
+                                      "operators": ScoreReport(2, 2, 3)}
+
+    @pytest.mark.parametrize("n_predicted, n_gold", [(0, 3), (3, 0)],
+                             ids=["no_prediction", "no_gold"])
+    def test_one_empty_side_scores_zero(self, n_predicted, n_gold):
+        rep = ScoreReport(0, n_predicted, n_gold)
+        assert (rep.precision, rep.recall, rep.f1) == (0.0, 0.0, 0.0)
 
     def test_search_statistics_sum_in_micro_average(self, fig1_drs):
         gold = strip_senses(fig1_drs)

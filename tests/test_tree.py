@@ -281,9 +281,16 @@ class TestFromTree:
         ("(DRS (REF x1 ) (REF x2 ) (C2 EQU x1 x2 ) )", DataError),
         ("(SDRS (DRS ) (DRS ) (DRS ) (REL CONTINUATION K1 K9 ) )", MalformedTree),
         ("(SDRS (DRS ) (DRS ) (DRS ) (REL CONTINUATION K01 K2 ) )", MalformedTree),
+        ("(DRS (OP NOT (DRS ) ) (REF x1 ) )", MalformedTree),
+        ("(DRS (OP (DRS (REF x1 ) ) (DRS ) ) )", MalformedTree),
     ])
     def test_bad_trees_rejected(self, text, error):
         with pytest.raises(error):
+            from_tree(delinearize(LinearSeq(tuple(text.split()))))
+
+    def test_sdrs_opens_with_its_top_box(self):
+        text = "(SDRS (REL CONTINUATION K1 K2 ) (DRS ) (DRS ) (DRS ) )"
+        with pytest.raises(MalformedTree, match="first SDRS child must be the top box"):
             from_tree(delinearize(LinearSeq(tuple(text.split()))))
 
     def test_deep_not_chain_round_trips(self):
