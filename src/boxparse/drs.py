@@ -95,17 +95,21 @@ def variable_sort(name: str) -> str:
     return name[0]
 
 
+@cache
 def strip_sense(label: str) -> str:
-    """Remove a trailing ``.pos.NN`` sense suffix; anything else is untouched."""
+    """Remove a trailing ``.pos.NN`` sense suffix; anything else is untouched.
+    Remembered for the life of the process: one entry per distinct label."""
     m = _SENSE_RE.fullmatch(label)
     return m.group(1) if m else label
 
 
+@cache
 def _label_fault(label: str) -> tuple[str, str] | None:
     """Why ``label`` cannot be a predicate, role or lemma, said of one label
     and of several; None if it can. Clause text and the tree's linear form
     must read it back as itself: one token that, sense stripped, is spelled
-    like no symbol, keyword or bracket."""
+    like no symbol, keyword or bracket. Remembered for the life of the
+    process, verdicts of both kinds: one entry per distinct label."""
     if not label or _SPACE_RE.search(label):
         return "is empty or holds whitespace", "empty or holding whitespace"
     stripped = strip_sense(label)

@@ -2,12 +2,16 @@
 
 ``BoxparseError`` is the root, and ``DataError``, ``ConfigError`` and
 ``NumericError`` are the family bases. Every class here but
-``BoxparseError``, ``DataError`` and ``NumericError`` is raised somewhere
-in the package. ``ConfigError`` is raised for a setting: by
-``autodiff.clip_grad_norm`` for a ``max_norm`` that is not above 0, and by
-``autodiff.Adam`` for a learning rate that is not finite and above 0. The
-planned command-line interface (ROADMAP item 5) maps the families to exit
-codes: ConfigError -> 2, DataError -> 3, NumericError -> 4.
+``BoxparseError`` is raised somewhere in the package. The family bases
+are raised directly too, where no subclass names the fault: ``drs``,
+``tree`` and ``evaluate`` raise ``DataError``, and ``autodiff`` raises
+``NumericError`` for a value that is not finite (a draw, a softmax, a
+cross-entropy, a loss, a gradient norm, an Adam step). ``ConfigError``
+is raised for a setting: by ``autodiff.clip_grad_norm`` for a
+``max_norm`` that is not above 0, and by ``autodiff.Adam`` for a learning
+rate that is not finite and above 0. The planned command-line interface
+(ROADMAP item 5) maps the families to exit codes: ConfigError -> 2,
+DataError -> 3, NumericError -> 4.
 
 Data is what a caller reads from outside: clause text, and the fields of a
 value being built. Data of any shape raises a ``BoxparseError``; so the
@@ -68,7 +72,7 @@ class ConfigError(BoxparseError):
 
 
 class NumericError(BoxparseError):
-    """Numerical failure: shape mismatch, NaN/Inf loss, failed gradient check."""
+    """Numerical failure: a shape mismatch, or a value that is not finite."""
 
 
 class ShapeError(NumericError):

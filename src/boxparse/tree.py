@@ -14,8 +14,9 @@ Leaves are predicates, roles, variables, constants, operator/relation
 labels and constituent indices. Re-entrant variables appear once per use;
 conversion back re-merges identical variable tokens within one
 accessibility scope and renames everything canonically. Nodes are
-immutable, so equal leaves within one tree may be a single shared object:
-``to_tree`` and ``delinearize`` build one leaf per label.
+immutable, so equal leaves may be a single shared object, within one tree
+and across trees: ``to_tree`` and ``delinearize`` take every leaf from one
+table, which holds one leaf per label for every tree in the process.
 
 Linearization is PTB-style: ``(LABEL`` opens an internal node, ``)``
 closes it, leaves stand alone, tokens are space-separated. So no leaf may
@@ -104,11 +105,16 @@ _set_children = Node.children.__set__
 
 
 class _Leaves(dict):
-    """Label -> the one leaf node with that label, built on first use."""
+    """Label -> the one leaf node with that label, built on first use. It
+    holds one entry per distinct leaf label it has been asked for, and
+    never drops one."""
 
     def __missing__(self, label: str) -> Node:
         node = self[label] = _build(Node, label)
         return node
+
+
+_LEAVES = _Leaves()  # the leaves of every tree that to_tree and delinearize build
 
 
 @dataclass(frozen=True)
@@ -136,7 +142,7 @@ def to_tree(d: Drs) -> DrsTree:
         order.extend(known[x] for c in b.conditions if type(c) is Operator
                      for x in c.boxes)
     nodes: dict[str, Node] = {}
-    leaf = _Leaves()
+    leaf = _LEAVES
     for b in reversed(order):
         children = [_build(Node, "REF", (leaf[v],)) for v in b.referents]
         for c in b.conditions:
@@ -146,7 +152,8 @@ def to_tree(d: Drs) -> DrsTree:
                 children.append(_build(Node, "C2", (leaf[c.role], leaf[c.first], leaf[c.second])))
             else:
                 children.append(_build(Node, "OP", (leaf[c.op], *(nodes[x] for x in c.boxes))))
-        nodes[b.id] = _build(Node, "DRS", tuple(children))
+        # an empty box is a leaf, which linearize writes as the bare token DRS
+        nodes[b.id] = _build(Node, "DRS", tuple(children)) if children else leaf["DRS"]
     if not d.relations:
         return _build(DrsTree, nodes[d.top])
     k = {x: leaf[f"K{i}"] for i, x in enumerate(constituents, start=1)}
@@ -304,7 +311,7 @@ def linearize(t: DrsTree) -> LinearSeq:
 def delinearize(s: LinearSeq) -> DrsTree:
     if not s.tokens:
         raise EmptyInput("empty sequence")
-    leaf = _Leaves()
+    leaf = _LEAVES
     stack: list[tuple[str, list[Node]]] = []  # the open nodes around the innermost
     label, kids = "", None  # the innermost open node, once one is open
     tokens = iter(s.tokens)

@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import RELATION_POOL, random_drs, random_presupposed_drs, rechecked
@@ -278,8 +278,9 @@ def test_odd_shapes_are_refused_where_built(d, odd, data):
 
 
 def edit_tree_tokens(tokens: list[str], kind: str, i: int, label: str) -> None:
-    """Drop a subtree other than the root, or relabel a leaf, in place, so
-    that the brackets still balance."""
+    """Drop a subtree other than the root, or relabel a leaf, in place. Both
+    keep balanced brackets balanced, unless a leaf was relabelled like a
+    bracket; a drop then runs at most to the end."""
     if kind == "relabel":
         leaves = [j for j, tok in enumerate(tokens) if tok != ")" and not tok.startswith("(")]
         if leaves:
@@ -290,7 +291,7 @@ def edit_tree_tokens(tokens: list[str], kind: str, i: int, label: str) -> None:
         return
     start = starts[i % len(starts)]
     end, depth = start + 1, 1
-    while depth:
+    while depth and end < len(tokens):
         depth += tokens[end].startswith("(") - (tokens[end] == ")")
         end += 1
     del tokens[start:end]
@@ -298,6 +299,8 @@ def edit_tree_tokens(tokens: list[str], kind: str, i: int, label: str) -> None:
 
 @given(SEEDS, st.lists(st.tuples(st.sampled_from(["drop", "relabel"]), INDEX,
                                  st.sampled_from(LEAVES)), max_size=3))
+@example(seed=0, tree_edits=[("relabel", 0, "(dog"), ("relabel", 0, "(dog"),
+                             ("drop", 0, "dog")])  # a drop past the last ")"
 @settings(max_examples=150, deadline=None)
 def test_valid_drs_from_an_edited_tree_reads_back_equal(seed, tree_edits):
     tokens = list(linearize(to_tree(random_drs(np.random.default_rng(seed)))).tokens)

@@ -649,6 +649,20 @@ class TestValidate:
         with pytest.raises(DataError, match="empty or holding whitespace"):
             from_tree(spaced)
 
+    @pytest.mark.parametrize("label", ["x2.n.01", "NOT.n.01", "(dog"])
+    def test_refused_label_is_refused_again(self, label):
+        # _label_fault remembers its verdicts, refusals too, and validate
+        # remembers no failure: a second parse or check fails as the first
+        text = f"b1 REF x1\nb1 REF x2\nb1 {label} x1\n"
+        d = Drs(boxes=(Box("b1", ("x1",), (Unary(label, "x1"),)),))
+        for call in (lambda: parse_clauses(text), lambda: validate(d)):
+            errors = []
+            for _ in range(2):
+                with pytest.raises(DataError) as caught:
+                    call()
+                errors.append((type(caught.value), str(caught.value)))
+            assert errors[0] == errors[1]
+
     @pytest.mark.parametrize("box_id, referent", [("foo", "x1"), ("b1\n", "x1"),
                                                   ("b1", "x1\n")])
     def test_names_spelled_as_the_parser_reads_them(self, box_id, referent):

@@ -2,9 +2,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import count_nodes, random_drs
+from helpers import FIG1_CLAUSES, count_nodes, random_drs
 
-from boxparse.drs import Binary, Box, Drs, Operator, Unary, parse_clauses, strip_senses
+from boxparse import drs, tree
+from boxparse.drs import (
+    Binary,
+    Box,
+    Drs,
+    Operator,
+    Unary,
+    format_clauses,
+    merge_presuppositions,
+    parse_clauses,
+    strip_senses,
+)
 from boxparse.errors import (
     DataError,
     EmptyInput,
@@ -216,6 +227,36 @@ class TestLinearize:
 
         t = to_tree(random_drs(np.random.default_rng(seed)))
         assert delinearize(linearize(t)) == t
+
+
+class TestSharedLeaves:
+    def test_delinearize_returns_the_leaves_to_tree_built(self, fig1_drs):
+        t = to_tree(fig1_drs)
+        built = {n.label: n for n in leaf_nodes(t.root)}
+        back = leaf_nodes(delinearize(linearize(t)).root)
+        assert all(n is built[n.label] for n in back)
+
+    def test_converting_again_adds_no_entry(self, rng):
+        # a label no other test uses, so the first pass must add entries
+        probe = "b1 REF x1\nb1 shared_leaf_probe.n.01 x1\n"
+        texts = [probe, FIG1_CLAUSES]
+        texts += [format_clauses(random_drs(rng)) for _ in range(5)]
+
+        def convert():
+            for text in texts:
+                d = strip_senses(merge_presuppositions(parse_clauses(text)))
+                format_clauses(from_tree(delinearize(linearize(to_tree(d)))))
+
+        def sizes():
+            return (len(tree._LEAVES), drs._label_fault.cache_info().currsize,
+                    drs.strip_sense.cache_info().currsize)
+
+        before = sizes()
+        convert()
+        once = sizes()
+        assert all(b < o for b, o in zip(before, once))
+        convert()
+        assert sizes() == once
 
 
 class TestFromTree:
