@@ -7,6 +7,11 @@ multiplies a matrix by a matrix or by a vector (a row on its left, a column
 on its right), and ``dot`` two vectors. No broadcasting beyond row-bias
 addition and scalar scaling.
 
+A tensor's ``requires_grad`` says whether it wants a gradient. A leaf keeps
+the value it was built with; an op's output wants one when one of its
+operands does, and only then is it linked to them. So a backward asks each
+operand that one flag.
+
 A computation graph is the set of Tensors linked through ``_parents``. A
 node holds its operands there, in ``_backward`` a module-level function
 ``(node, g)`` that passes the gradient ``g`` on to them, and in ``_ctx`` at
@@ -149,22 +154,24 @@ _new_tensor = object.__new__
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, ctx=None) -> Tensor:
-    """The node of an op's output. It keeps ``parents``, ``backward_fn(node,
-    g)`` and ``ctx``, a saved value that is not a Tensor, only if a parent
-    wants a gradient, so a one-parent backward need not ask."""
+    """The node of an op's output. It wants a gradient, ``requires_grad``,
+    if a parent does, and only then keeps ``parents``, ``backward_fn(node,
+    g)`` and ``ctx``, a saved value that is not a Tensor, so a one-parent
+    backward need not ask."""
     if type(data) is not np.ndarray:  # a 0-d result comes back as a numpy scalar
         data = np.asarray(data)
     out = _new_tensor(Tensor)
     out.data = data
     out.grad = out._factors = None
-    out.requires_grad = False
     for p in parents:
-        if p.requires_grad or p._parents:
+        if p.requires_grad:
+            out.requires_grad = True
             out._parents = parents
             out._backward = backward_fn
             out._ctx = ctx
             out._created = next(_creation)
             return out
+    out.requires_grad = False
     out._parents = ()
     out._backward = None
     return out
@@ -182,7 +189,7 @@ def _sum_backward(node: Tensor, g: np.ndarray) -> None:
     """For a sum (``add``, ``sum_over``, ``reduce_sum``): each operand that
     wants a gradient gets ``g``."""
     for p in node._parents:
-        if p.requires_grad or p._parents:
+        if p.requires_grad:
             p._accumulate(g)
 
 
@@ -205,9 +212,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def _mul_backward(node: Tensor, g: np.ndarray) -> None:
     a, b = node._parents
-    if a.requires_grad or a._parents:
+    if a.requires_grad:
         a._accumulate(g * b.data, True)
-    if b.requires_grad or b._parents:
+    if b.requires_grad:
         b._accumulate(g * a.data, True)
 
 
@@ -227,12 +234,12 @@ def _matmul_backward(node: Tensor, g: np.ndarray) -> None:
     # each operand's gradient is g contracted with the other operand
     a, b = node._parents
     ad, bd = a.data, b.data
-    if a.requires_grad or a._parents:
+    if a.requires_grad:
         if bd.ndim == 2:
             a._accumulate(g @ bd.T, True)
         else:
             _acc_outer(a, g, bd)
-    if b.requires_grad or b._parents:
+    if b.requires_grad:
         if ad.ndim == 2:
             b._accumulate(ad.T @ g, True)
         else:
@@ -280,7 +287,7 @@ def _concat_backward(node: Tensor, g: np.ndarray) -> None:
     off = 0
     for p in node._parents:
         d = p.data
-        if p.requires_grad or p._parents:
+        if p.requires_grad:
             p._accumulate(g[off:off + d.size] if d.ndim else g[off, ...], True)
         off += d.size
 
@@ -470,11 +477,12 @@ ADAM_EPS = 1e-8  # added to the root of Adam's second moment before dividing
 class Adam:
     """Adam over one parameter list: first/second moment estimates and a step
     counter, with ``ADAM_BETAS`` and ``ADAM_EPS``. ``step`` updates in place
-    and skips tensors with requires_grad=False. A gradient whose value or
-    square is not finite raises ``NumericError`` before anything changes:
-    it would write NaN into a parameter, or make its second moment infinite
-    and so stop it moving for good. A learning rate that is not finite and
-    above 0 raises ``ConfigError``."""
+    and skips each tensor that wants no gradient, whose ``requires_grad`` is
+    False: a leaf built so, or an op's output on such tensors only. A
+    gradient whose value or square is not finite raises ``NumericError``
+    before anything changes: it would write NaN into a parameter, or make
+    its second moment infinite and so stop it moving for good. A learning
+    rate that is not finite and above 0 raises ``ConfigError``."""
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3):
         if not 0.0 < lr < np.inf:  # NaN too

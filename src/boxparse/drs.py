@@ -18,13 +18,15 @@ Clause file format (UTF-8, LF, one clause per line, whitespace separated):
     b2 Agent e1 "speaker"                       binary role; constants are quoted
     b2 NOT b4                                   operator condition
 
-Token conventions: box ids match ``[bp][0-9]+`` ('p' marks a presupposed
-box), variables match ``[xets][0-9]+``, constants are quoted, operator and
-relation labels are fully uppercase, roles are capitalized, predicates
+Token conventions, in brackets the one function that judges a kind: box
+ids match ``[bp][0-9]+`` (``is_box_id``; 'p' marks a presupposed box,
+``Box.presupposed``), variables match ``[xets][0-9]+`` (``is_variable``),
+constants are quoted (``is_constant``), REF, operator and relation labels
+are fully uppercase (``_is_keyword``), roles are capitalized, predicates
 lowercase, and no label looks like a symbol, a keyword or a bracket of the
 tree's linear form (it starts with ``(`` or is ``)``), with or without a
-sense suffix. No token holds whitespace. DRSs in one file are separated by
-blank lines.
+sense suffix (``_label_fault``). No token holds whitespace. DRSs in one
+file are separated by blank lines.
 
 All values are immutable; every operation returns a new structure. A Drs
 remembers that it passed ``validate``. The parser and ``tree.from_tree``
@@ -66,18 +68,22 @@ BINARY_OPERATORS = frozenset({"IMP", "DIS", "DUP"})
 OPERATORS = UNARY_OPERATORS | BINARY_OPERATORS
 ANTECEDENT_OPERATORS = frozenset({"IMP", "DUP"})  # the first box is open for the second
 
-_VAR_RE = re.compile(r"[xets][0-9]+")
-_BOX_RE = re.compile(r"[bp][0-9]+")
 _SENSE_RE = re.compile(r"([^.]+)\.[a-z]+\.[0-9]+")
 _SPACE_RE = re.compile(r"\s")  # what splits a clause line into tokens
 
 
+@cache
 def is_variable(token: str) -> bool:
-    return _VAR_RE.fullmatch(token) is not None
+    """Whether ``token`` is spelled like a variable. Remembered for the life
+    of the process: one entry per distinct token."""
+    return re.fullmatch(r"[xets][0-9]+", token) is not None
 
 
+@cache
 def is_box_id(token: str) -> bool:
-    return _BOX_RE.fullmatch(token) is not None
+    """Whether ``token`` is spelled like a box id. Remembered for the life of
+    the process: one entry per distinct token."""
+    return re.fullmatch(r"[bp][0-9]+", token) is not None
 
 
 def is_constant(token: str) -> bool:
@@ -174,10 +180,6 @@ class Unary(metaclass=_Checked):
         _set_predicate(self, predicate)
         _set_argument(self, argument)
 
-    @property
-    def args(self) -> tuple[str, ...]:
-        return (self.argument,)
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class Binary(metaclass=_Checked):
@@ -189,10 +191,6 @@ class Binary(metaclass=_Checked):
         _set_role(self, role)
         _set_first(self, first)
         _set_second(self, second)
-
-    @property
-    def args(self) -> tuple[str, ...]:
-        return (self.first, self.second)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -362,17 +360,16 @@ def _check(d: Drs) -> None:
     known = d._by_id
     if len(known) != len(d.boxes):
         raise DataError("duplicate box ids")
-    is_box, is_var = _BOX_RE.fullmatch, _VAR_RE.fullmatch
     declared: dict[str, str] = {}
     labels: set[str] = set()  # of unary predicates and binary roles
     presupposed: set[str] = set()
     for b in d.boxes:
-        if not is_box(b.id):
+        if not is_box_id(b.id):
             raise DataError(f"bad box id {b.id!r}")
-        if b.id[0] == "p":
+        if b.presupposed:
             presupposed.add(b.id)
         for v in b.referents:
-            if not is_var(v):
+            if not is_variable(v):
                 raise DataError(f"bad referent name {v!r} in box {b.id}")
             if v in declared:
                 raise DuplicateReferent(f"referent {v} declared in {declared[v]} and {b.id}")
@@ -524,7 +521,6 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
     mentioned: dict[str, None] = {}  # box ids, in order of first mention
     relations: list[tuple[str, str, str]] = []
     relation_hosts: list[tuple[int, str]] = []
-    is_box, is_var = _BOX_RE.fullmatch, _VAR_RE.fullmatch
     host = None  # of the clause line before, whose lists are at hand
     for n, raw in lines:
         toks = raw.split()
@@ -543,12 +539,12 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
         if toks[0] != host:
             host = toks[0]
             if host not in mentioned:
-                if not is_box(host):
+                if not is_box_id(host):
                     raise DataError(f"line {n}: bad box id {host!r}")
                 mentioned[host] = None
             referents, conditions = hosted.setdefault(host, ([], []))
         kw = toks[1]
-        if not kw.isupper() or len(kw) == 1:  # no keyword: a predicate or a role
+        if not _is_keyword(kw):  # a predicate or a role
             if len(toks) > 4:
                 raise DataError(f"line {n}: predicate clause with {len(toks) - 2} arguments")
             c = (_build(Unary, kw, toks[2]) if len(toks) == 3
@@ -560,18 +556,18 @@ def _parse_lines(lines: Iterable[tuple[int, str]]) -> ClauseDocument:
         elif kw == "REF":
             if len(toks) != 3:
                 raise DataError(f"line {n}: REF takes one variable")
-            if not is_var(v := toks[2]):
+            if not is_variable(v := toks[2]):
                 raise DataError(f"line {n}: bad referent name {v!r}")
             referents.append(v)
             declared.add(v)
         elif kw in OPERATORS:
             for a in toks[2:]:
                 if a not in mentioned:
-                    if not is_box(a):
+                    if not is_box_id(a):
                         raise DataError(f"line {n}: bad box id {a!r}")
                     mentioned[a] = None
             conditions.append(_build(Operator, kw, tuple(toks[2:])))
-        elif len(toks) == 4 and is_box(toks[2]) and is_box(toks[3]):
+        elif len(toks) == 4 and is_box_id(toks[2]) and is_box_id(toks[3]):
             mentioned[toks[2]] = mentioned[toks[3]] = None
             relations.append((kw, toks[2], toks[3]))
             relation_hosts.append((n, host))
@@ -704,7 +700,8 @@ def merge_presuppositions(d: Drs) -> Drs:
     # box -> the boxes whose conditions use its referents, as the input has them
     users: dict[str | None, set[str]] = {}
     for b in d.boxes:  # a constant's home is None, which no box id equals
-        used = {home.get(a) for c in b.conditions if type(c) is not Operator for a in c.args}
+        used = {home.get(a) for c in b.conditions if type(c) is not Operator
+                for a in ((c.argument,) if type(c) is Unary else (c.first, c.second))}
         for y in used:
             users.setdefault(y, set()).add(b.id)
     into: dict[str, str] = {}  # merged box -> the box it merged into

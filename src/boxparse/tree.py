@@ -60,10 +60,6 @@ class Node(metaclass=_Checked):
         _set_label(self, label)
         _set_children(self, children)
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def __eq__(self, other: object) -> bool:
         # on an explicit stack, so trees of any depth compare
         if not isinstance(other, Node):

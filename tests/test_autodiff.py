@@ -23,6 +23,20 @@ PRODUCTS = {
     "dot": (ad.dot, (3,), (3,)),
 }
 
+# one graph node of each op, on a vector v, a vector u, a matrix m and a scalar s
+OPS = {
+    "add": lambda v, u, m, s: ad.add(v, u),
+    "mul": lambda v, u, m, s: ad.mul(s, v),
+    "dot": lambda v, u, m, s: ad.dot(v, u),
+    "matmul": lambda v, u, m, s: ad.matmul(m, v),
+    "tanh": lambda v, u, m, s: ad.tanh(v),
+    "concat": lambda v, u, m, s: ad.concat([s, v, s]),
+    "softmax": lambda v, u, m, s: ad.softmax(v),
+    "softmax_cross_entropy": lambda v, u, m, s: ad.softmax_cross_entropy(v, 2),
+    "embedding_lookup": lambda v, u, m, s: ad.embedding_lookup(m, 1),
+    "scale": lambda v, u, m, s: ad.scale(v, 0.5),
+}
+
 
 class TestForwardOps:
     def test_tanh_zero(self):
@@ -566,19 +580,7 @@ class TestGraphObjects:
     """The cyclic garbage collector visits every object it tracks; a graph
     node costs it two, the Tensor and its parents tuple."""
 
-    @pytest.mark.parametrize("op", [
-        lambda v, u, m, s: ad.add(v, u),
-        lambda v, u, m, s: ad.mul(s, v),
-        lambda v, u, m, s: ad.dot(v, u),
-        lambda v, u, m, s: ad.matmul(m, v),
-        lambda v, u, m, s: ad.tanh(v),
-        lambda v, u, m, s: ad.concat([s, v, s]),
-        lambda v, u, m, s: ad.softmax(v),
-        lambda v, u, m, s: ad.softmax_cross_entropy(v, 2),
-        lambda v, u, m, s: ad.embedding_lookup(m, 1),
-        lambda v, u, m, s: ad.scale(v, 0.5),
-    ], ids=["add", "mul", "dot", "matmul", "tanh", "concat", "softmax",
-            "softmax_cross_entropy", "embedding_lookup", "scale"])
+    @pytest.mark.parametrize("op", OPS.values(), ids=OPS)
     def test_a_node_holds_two_tracked_objects(self, op):
         rng = np.random.default_rng(31)
         v, u, m, s = (ad.uniform(shape, rng) for shape in ((4,), (4,), (3, 4), ()))
@@ -593,6 +595,30 @@ class TestGraphObjects:
                 gc.enable()
         assert all(n._parents for n in nodes)
         assert grown <= 2010
+
+
+class TestWantsGradient:
+    """``requires_grad`` says of every tensor whether it wants a gradient:
+    an op's output wants one when an operand does, and only then links to
+    its operands."""
+
+    @staticmethod
+    def operands(requires_grad: bool) -> list[ad.Tensor]:
+        rng = np.random.default_rng(31)
+        return [ad.tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=requires_grad)
+                for shape in ((4,), (4,), (3, 4), ())]
+
+    @pytest.mark.parametrize("op", OPS.values(), ids=OPS)
+    def test_op_on_an_operand_that_wants_a_gradient_wants_one(self, op):
+        out = op(*self.operands(True))
+        assert out.requires_grad is True and out._parents
+        # an operand that wants one because its own operand does counts too
+        assert ad.tanh(out).requires_grad is True
+
+    @pytest.mark.parametrize("op", OPS.values(), ids=OPS)
+    def test_op_on_constants_only_wants_no_gradient(self, op):
+        out = op(*self.operands(False))
+        assert out.requires_grad is False and out._parents == ()
 
 
 class TestAdam:

@@ -39,7 +39,7 @@ from boxparse.tree import (
 def leaves(node, out=None):
     if out is None:
         out = []
-    if node.is_leaf:
+    if not node.children:
         out.append(node.label)
     for c in node.children:
         leaves(c, out)
@@ -51,7 +51,7 @@ def leaf_nodes(node):
     out, stack = [], [node]
     while stack:
         n = stack.pop()
-        if n.is_leaf:
+        if not n.children:
             out.append(n)
         stack.extend(reversed(n.children))
     return out
@@ -61,7 +61,7 @@ def condition_leaves(node, out=None, in_condition=False):
     """Leaf tokens appearing inside C1/C2 condition nodes only."""
     if out is None:
         out = []
-    if node.is_leaf and in_condition:
+    if not node.children and in_condition:
         out.append(node.label)
     for c in node.children:
         condition_leaves(c, out, in_condition or node.label in ("C1", "C2"))
@@ -237,8 +237,9 @@ class TestSharedLeaves:
         assert all(n is built[n.label] for n in back)
 
     def test_converting_again_adds_no_entry(self, rng):
-        # a label no other test uses, so the first pass must add entries
-        probe = "b1 REF x1\nb1 shared_leaf_probe.n.01 x1\n"
+        # a label, box id and variable no other test uses, so the first pass
+        # must add entries
+        probe = "b90417 REF x90417\nb90417 shared_leaf_probe.n.01 x90417\n"
         texts = [probe, FIG1_CLAUSES]
         texts += [format_clauses(random_drs(rng)) for _ in range(5)]
 
@@ -249,7 +250,8 @@ class TestSharedLeaves:
 
         def sizes():
             return (len(tree._LEAVES), drs._label_fault.cache_info().currsize,
-                    drs.strip_sense.cache_info().currsize)
+                    drs.strip_sense.cache_info().currsize,
+                    drs.is_variable.cache_info().currsize, drs.is_box_id.cache_info().currsize)
 
         before = sizes()
         convert()
