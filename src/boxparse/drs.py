@@ -40,13 +40,15 @@ here or in ``tree``, raises ``DataError`` unless each field is exactly of
 that type, down to the class of each condition and the three parts of each
 relation. The parser, the rewrites and the tree conversions, which hold
 only values already checked or parsed, build through ``_build``, which
-skips the check.
+skips the check. The slotted classes (``Unary``, ``Binary``, ``Operator``,
+``Box`` and ``tree.Node``) state each field once, in its annotation:
+``_slot_init`` derives their slot-setting ``__init__`` from the fields.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cache, cached_property
 from types import GenericAlias, UnionType
 from typing import Iterable, Iterator, get_type_hints
@@ -166,69 +168,59 @@ def _is(value, kind) -> bool:
 
 _build = type.__call__  # builds a value without the check
 
-# The classes below are frozen, and their __init__ sets each slot through
-# its member descriptor: the frozen dataclass's own __init__ pays for
-# object.__setattr__ on every field, and a document builds thousands.
+
+def _slot_init(cls: type) -> type:
+    """Give a frozen slotted dataclass an ``__init__`` that sets each slot
+    through its member descriptor: the frozen dataclass's own ``__init__``
+    pays for ``object.__setattr__`` on every field, and a document builds
+    thousands of these values. Compiled from the class's fields, as
+    ``dataclasses`` compiles its own: the parameters are the fields in
+    order, each with its field's default."""
+    fs = fields(cls)
+    namespace = {f"_set_{f.name}": getattr(cls, f.name).__set__ for f in fs}
+    exec(f"def __init__(self, {', '.join(f.name for f in fs)}):"
+         + "".join(f"\n    _set_{f.name}(self, {f.name})" for f in fs), namespace)
+    init = cls.__init__ = namespace["__init__"]
+    init.__defaults__ = tuple(f.default for f in fs if f.default is not MISSING)
+    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
+    return cls
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Unary(metaclass=_Checked):
     predicate: str
     argument: str
 
-    def __init__(self, predicate: str, argument: str):
-        _set_predicate(self, predicate)
-        _set_argument(self, argument)
 
-
+@_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Binary(metaclass=_Checked):
     role: str
     first: str
     second: str
 
-    def __init__(self, role: str, first: str, second: str):
-        _set_role(self, role)
-        _set_first(self, first)
-        _set_second(self, second)
 
-
+@_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Operator(metaclass=_Checked):
     op: str
     boxes: tuple[str, ...]
 
-    def __init__(self, op: str, boxes: tuple[str, ...]):
-        _set_op(self, op)
-        _set_boxes(self, boxes)
-
 
 Condition = Unary | Binary | Operator
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Box(metaclass=_Checked):
     id: str
     referents: tuple[str, ...] = ()
     conditions: tuple[Condition, ...] = ()
 
-    def __init__(self, id: str, referents: tuple[str, ...] = (),
-                 conditions: tuple[Condition, ...] = ()):
-        _set_id(self, id)
-        _set_referents(self, referents)
-        _set_conditions(self, conditions)
-
     @property
     def presupposed(self) -> bool:
         return self.id.startswith("p")
-
-
-_set_predicate, _set_argument = Unary.predicate.__set__, Unary.argument.__set__
-_set_role, _set_first = Binary.role.__set__, Binary.first.__set__
-_set_second = Binary.second.__set__
-_set_op, _set_boxes = Operator.op.__set__, Operator.boxes.__set__
-_set_id, _set_referents, _set_conditions = (
-    Box.id.__set__, Box.referents.__set__, Box.conditions.__set__)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ start with ``(`` or be ``)``; ``validate`` refuses such labels.
 
 ``Node``, ``DrsTree`` and ``LinearSeq`` follow the ``drs`` module's
 construction rule: annotated types, checked on every public build, skipped
-by ``_build``, through which the conversions here build.
+by ``_build``, through which the conversions here build. ``Node`` is
+slotted, and ``drs._slot_init`` derives its ``__init__`` from its fields.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .drs import (
     _build,
     _Checked,
     _in_text_order,
+    _slot_init,
     is_variable,
     validate,
     variable_sort,
@@ -49,16 +51,11 @@ from .drs import (
 from .errors import DataError, EmptyInput, MalformedSequence, MalformedTree, UnboundVariable
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
 class Node(metaclass=_Checked):
     label: str
     children: tuple[Node, ...] = ()
-
-    def __init__(self, label: str, children: tuple[Node, ...] = ()):
-        # through the slot descriptors: the frozen dataclass's own __init__
-        # pays for object.__setattr__ on every field
-        _set_label(self, label)
-        _set_children(self, children)
 
     def __eq__(self, other: object) -> bool:
         # on an explicit stack, so trees of any depth compare
@@ -94,10 +91,6 @@ class Node(metaclass=_Checked):
                 if i:
                     stack.append(", ")
         return "".join(parts)
-
-
-_set_label = Node.label.__set__
-_set_children = Node.children.__set__
 
 
 class _Leaves(dict):

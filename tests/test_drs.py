@@ -1,6 +1,9 @@
+import inspect
+import pickle
 import re
 from collections import Counter
-from dataclasses import FrozenInstanceError, fields, replace
+from copy import deepcopy
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -793,7 +796,8 @@ UNCHECKED_BUILDERS = {
 
 
 VALUES = [Unary("dog", "x1"), Binary("Agent", "e1", '"now"'), Operator("IMP", ("b2", "b3")),
-          Box("p1", ("x1",), (Unary("dog", "x1"),))]
+          Box("p1", ("x1",), (Unary("dog", "x1"),)), Node("x1"),
+          Node("DRS", (Node("REF", (Node("x1"),)), Node("C1", (Node("dog"), Node("x1")))))]
 
 
 class TestValues:
@@ -846,6 +850,23 @@ class TestValues:
         assert copy == value and hash(copy) == hash(value) and copy is not value
         assert repr(copy) == repr(value)
 
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_copies_rebuilds_and_init_signature(self, value):
+        # a rebuild from the fields, by position and by keyword, sets each slot
+        # from its own field
+        args = {f.name: getattr(value, f.name) for f in fields(value)}
+        for copied in (pickle.loads(pickle.dumps(value)), deepcopy(value),
+                       type(value)(*args.values()), type(value)(**args)):
+            assert copied == value and hash(copied) == hash(value) and copied is not value
+            assert repr(copied) == repr(value)
+        # __init__, not the class: _Checked.__call__ hides the class's signature
+        params = list(inspect.signature(type(value).__init__).parameters.values())
+        assert params[0].name == "self"
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+        assert [(p.name, p.default) for p in params[1:]] == [
+            (f.name, inspect.Parameter.empty if f.default is MISSING else f.default)
+            for f in fields(value)]
+
     def test_replace_gives_equal_hashing_values(self):
         b = Box("b1", ("x1",), (Unary("dog", "x1"),))
         changed = replace(b, conditions=(replace(b.conditions[0], predicate="cat"),))
@@ -856,7 +877,13 @@ class TestValues:
 
     def test_keyword_and_default_construction(self):
         assert Box(id="b1") == Box("b1", (), ())
+        assert Box("b1", conditions=(Unary("dog", "x1"),)) == Box("b1", (), (Unary("dog", "x1"),))
+        assert Unary(argument="x1", predicate="dog") == Unary("dog", "x1")
         assert Binary(role="Agent", first="e1", second="x1") == Binary("Agent", "e1", "x1")
+        assert Operator(boxes=("b2",), op="NOT") == Operator("NOT", ("b2",))
+        assert Node(label="x1") == Node("x1", ())
+        assert Node(children=(Node("x1"),), label="REF") == Node("REF", (Node("x1"),))
+        assert repr(Node("x1")) == "Node(label='x1', children=())"
         assert repr(Box("b1")) == "Box(id='b1', referents=(), conditions=())"
         assert Drs(boxes=(Box("b1"),)) == Drs((Box("b1"),), ())
         assert repr(Drs((Box("b1"),))) == \
