@@ -16,15 +16,16 @@ are equal tuples (``rename_clause`` is the definition the keys are tested
 against). A predicted clause's key is then a fixed part plus, for each
 symbol it holds, a weight times the code of the symbol's image.
 
-A climb's moves reassign one predicted symbol to a free gold symbol of its
-sort, or swap the images of two predicted symbols of one sort. Each move is
-scored by its delta: moving ``p`` from ``a`` to ``b`` adds
+A climb has one move: a predicted symbol ``p`` takes another image ``b``
+of its sort, and if a predicted symbol ``q`` held ``b``, ``q`` takes
+``p``'s old image ``a``. So a reassignment is a swap with a free gold
+symbol. A move is scored by its delta: it adds
 ``weight * (code(b) - code(a))`` to the key of each clause that holds
-``p``, and no other key changes. A map that renames clauses holds every
-symbol of its side, with ``_UNMAPPED`` as the image of an unmapped one; no
-clause holds it, so unmapping a symbol can never gain and is not a move. A
-report carries the search statistics: the moves applied and the moves
-scored.
+``p``, subtracts the same from the key of each clause that holds ``q``,
+and changes no other key. A map that renames clauses holds every symbol
+of its side, with ``_UNMAPPED`` as the image of an unmapped one; no clause
+holds it, so unmapping a symbol can never gain and is not a move. A report
+carries the search statistics: the moves applied and the moves scored.
 
 A climb's path depends on nothing but the mapping it stands at, so a climb
 that starts at, or steps onto, a mapping an earlier climb of the same pair
@@ -245,17 +246,20 @@ class _PairIndex:
 
 def _climb(index: _PairIndex, mapping: dict[str, str],
            memo: dict) -> tuple[dict[str, str], int, int, int]:
-    """Steepest ascent: apply the single reassignment or swap with the
-    largest gain until none gains; the first of equal gains wins. Each step
-    matches at least one more clause, so a climb ends within ``len(pred)``
-    steps. Returns the mapping, its matched count, the steps taken and the
-    moves scored.
+    """Steepest ascent: apply the move with the largest gain until none
+    gains; the first of equal gains wins. Each step matches at least one
+    more clause, so a climb ends within ``len(pred)`` steps. Returns the
+    mapping, its matched count, the steps taken and the moves scored.
 
     The climb keeps the key of every predicted clause under the current
-    mapping (see ``_PairIndex``) and a running count of those keys. Moving
-    ``p`` from image ``a`` to ``b`` adds ``weight * (code(b) - code(a))``
-    to the key of each clause in ``occurrences[p]``; a swap of ``p`` and
-    ``q`` adds both symbols' terms. A move's gain is the change in matched
+    mapping (see ``_PairIndex``) and a running count of those keys. Each
+    predicted symbol ``p`` in sorted order has one list of moves: it takes
+    each free gold symbol of its sort in turn, then the image of each later
+    predicted symbol ``q`` of its sort whose image differs, and ``q`` takes
+    ``p``'s. Moving ``p`` from image ``a`` to ``b`` adds
+    ``weight * (code(b) - code(a))`` to the key of each clause in
+    ``occurrences[p]``, and moving ``q`` from ``b`` to ``a`` subtracts the
+    same for ``occurrences[q]``. A move's gain is the change in matched
     clauses from removing the moved clauses' old keys from the count and
     adding their new ones. A move that gives no clause a gold key cannot
     gain, so its gain is not worked out. Only an applied move is written
@@ -313,31 +317,29 @@ def _climb(index: _PairIndex, mapping: dict[str, str],
             sort = sorts[p]
             image = current[p]
             held, a = occurrences[p], code[image]
-            # reassign p to a free gold symbol, or swap images with a later
-            # predicted symbol of its sort, where one image may be _UNMAPPED
-            free = [g for g in gold_by_sort.get(sort, ()) if g not in used]
-            partners = [q for q in pred_by_sort[sort] if q > p and current[q] != image]
-            scored += len(free) + len(partners)
-            for g in free:
-                d = code[g] - a
+            # p takes image b, held by no predicted symbol (q None) or by a
+            # later predicted symbol q of its sort, which takes p's image;
+            # either image may be _UNMAPPED
+            moves = [(g, None) for g in gold_by_sort.get(sort, ()) if g not in used]
+            moves += [(current[q], q) for q in pred_by_sort[sort] if q > p and current[q] != image]
+            scored += len(moves)
+            for b, q in moves:
+                d = code[b] - a
                 moved = {i: keys[i] + w * d for i, w in held}
+                if q is not None:
+                    for i, w in occurrences[q]:
+                        moved[i] = moved.get(i, keys[i]) - w * d
                 gain = gain_of(moved)
                 if gain > best_gain:
-                    best_gain, best_move = gain, ({p: g}, moved)
-            for q in partners:
-                d = code[current[q]] - a
-                moved = {i: keys[i] + w * d for i, w in held}
-                for i, w in occurrences[q]:
-                    moved[i] = moved.get(i, keys[i]) - w * d
-                gain = gain_of(moved)
-                if gain > best_gain:
-                    best_gain, best_move = gain, ({p: current[q], q: image}, moved)
+                    best_gain, best_move = gain, (p, b, q, moved)
         if best_move is None:
             outcome = memo[state] = current, score, 0, scored
             break
         path.append((state, scored))
-        change, moved = best_move
-        current.update(change)
+        p, b, q, moved = best_move
+        if q is not None:
+            current[q] = current[p]
+        current[p] = b
         for i, new in moved.items():
             counts[keys[i]] -= 1
             counts[new] += 1
@@ -424,11 +426,10 @@ def categorize_clause(clause: Clause, sorts: dict[str, str],
     non-lexical binary roles / lexical predicates. A clause is an operator
     or relation when its label is a keyword other than REF and its
     arguments are all boxes."""
-    if clause[1] != "REF" and _is_keyword(clause[1]) \
-            and all(sorts.get(tok) == "b" for tok in clause[2:]):
-        return "operators"
     if clause[1] == "REF":
         return "non_lexical_unary"
+    if _is_keyword(clause[1]) and all(sorts.get(tok) == "b" for tok in clause[2:]):
+        return "operators"
     if len(clause) == 4:
         return "non_lexical_binary"
     return "lexical" if clause[1] in lexical_labels else "non_lexical_unary"

@@ -25,7 +25,6 @@ SEED = 0  # chooses the entries of a parameter larger than the cap
 
 @dataclass
 class GradCheckReport:
-    name: str
     max_rel_error: float
     n_checked: int
     worst: str = ""
@@ -35,8 +34,7 @@ class GradCheckReport:
         return self.max_rel_error <= TOLERANCE
 
 
-def check_gradients(loss_fn, params: dict[str, ad.Tensor],
-                    name: str = "module") -> GradCheckReport:
+def check_gradients(loss_fn, params: dict[str, ad.Tensor]) -> GradCheckReport:
     """Compare analytic gradients of ``loss_fn()`` against central differences.
 
     ``loss_fn`` must rebuild the graph on every call and return a scalar
@@ -77,4 +75,4 @@ def check_gradients(loss_fn, params: dict[str, ad.Tensor],
             if rel > max_rel:
                 max_rel = rel
                 worst = f"{key}[{int(i)}] analytic={a:.6g} numeric={numeric:.6g}"
-    return GradCheckReport(name, max_rel, n_checked, worst)
+    return GradCheckReport(max_rel, n_checked, worst)

@@ -151,6 +151,18 @@ def to_tree(d: Drs) -> DrsTree:
     return _build(DrsTree, _build(Node, "SDRS", tuple(kids)))
 
 
+def _leaves(node: Node, want: int) -> tuple[Node, ...]:
+    """The children of ``node``, which must be ``want`` leaves."""
+    kids = node.children
+    if len(kids) == want:
+        for kid in kids:
+            if kid.children:
+                break
+        else:
+            return kids
+    raise MalformedTree(f"{node.label} node needs {want} leaf children")
+
+
 class _Builder:
     """Accumulates boxes and canonical variable names during a tree walk.
     It checks only what the tree alone can tell; ``validate`` does the rest."""
@@ -192,18 +204,16 @@ class _Builder:
             if not (kids := child.children):
                 raise MalformedTree(f"leaf {child.label!r} directly under DRS")
             if child.label == "C1":
-                if len(kids) != 2 or kids[0].children or kids[1].children:
-                    raise MalformedTree("C1 node needs 2 leaf children")
-                conditions.append(_build(Unary, kids[0].label, self._resolve(kids[1].label)))
+                predicate, argument = _leaves(child, 2)
+                conditions.append(_build(Unary, predicate.label, self._resolve(argument.label)))
             elif child.label == "C2":
-                if len(kids) != 3 or kids[0].children or kids[1].children or kids[2].children:
-                    raise MalformedTree("C2 node needs 3 leaf children")
-                conditions.append(_build(Binary, kids[0].label, self._resolve(kids[1].label),
-                                         self._resolve(kids[2].label)))
+                role, first, second = _leaves(child, 3)
+                conditions.append(_build(Binary, role.label, self._resolve(first.label),
+                                         self._resolve(second.label)))
             elif child.label == "REF":
                 if conditions:
                     raise MalformedTree("referent declared after conditions")
-                v = self._leaf_token(child, 1)[0]
+                v = _leaves(child, 1)[0].label
                 if v in self.visible:
                     raise MalformedTree(f"referent {v} shadows an accessible declaration")
                 sort = variable_sort(v)
@@ -225,13 +235,6 @@ class _Builder:
         for v in (*scope, *shared):
             del self.visible[v]
         return box_id
-
-    @staticmethod
-    def _leaf_token(node: Node, want: int) -> list[str]:
-        labels = [c.label for c in node.children if not c.children]
-        if len(labels) != want or len(node.children) != want:
-            raise MalformedTree(f"{node.label} node needs {want} leaf children")
-        return labels
 
     def _resolve(self, token: str) -> str:
         name = self.visible.get(token)
@@ -270,7 +273,7 @@ def from_tree(t: DrsTree) -> Drs:
         k = {f"K{i}": builder.read(c, builder.scopes[top])
              for i, c in enumerate(drs_kids[1:], start=1)}
         for rel in rel_kids:
-            label, ka, kb = _Builder._leaf_token(rel, 3)
+            label, ka, kb = [c.label for c in _leaves(rel, 3)]
             if ka not in k or kb not in k:
                 raise MalformedTree(f"bad constituent index in ({label} {ka} {kb})")
             relations.append((label, k[ka], k[kb]))

@@ -212,7 +212,7 @@ class TestConcat:
         def loss_fn():
             return ad.reduce_sum(ad.tanh(ad.mul(ad.concat(list(params.values())), weights)))
 
-        report = check_gradients(loss_fn, params, name="concat")
+        report = check_gradients(loss_fn, params)
         assert report.passed, report.worst
         for p in params.values():
             assert p.grad.shape == p.data.shape
@@ -361,7 +361,7 @@ class TestBackward:
             logits = ad.add(ad.matmul(h2, params["w3"]), params["b3"])
             return ad.softmax_cross_entropy(logits, target=1)
 
-        report = check_gradients(loss_fn, params, name="mlp")
+        report = check_gradients(loss_fn, params)
         assert report.passed, report.worst
 
     def test_attention_like_graph_gradcheck(self):
@@ -383,7 +383,7 @@ class TestBackward:
                    for i in range(4)]
             return ad.reduce_sum(ad.sum_over(ctx))
 
-        report = check_gradients(loss_fn, params, name="attention")
+        report = check_gradients(loss_fn, params)
         assert report.passed, report.worst
 
     def test_long_chain_matches_analytic_gradient(self):
@@ -435,7 +435,7 @@ class TestBackward:
         def loss_fn():
             return ad.reduce_sum(ad.tanh(op(params["a"], params["b"])))
 
-        report = check_gradients(loss_fn, params, name="product")
+        report = check_gradients(loss_fn, params)
         assert report.passed, report.worst
 
     def test_matmul_of_two_vectors_names_dot(self):
@@ -493,7 +493,7 @@ class TestDeferredProducts:
         want = want + (1 - np.tanh(wd @ b) ** 2) @ b.T
         want = want + (1 - np.tanh(wd + c) ** 2)
         np.testing.assert_allclose(w.grad, want, rtol=1e-12, atol=1e-12)
-        report = check_gradients(loss_fn, {"w": w}, name="deferred")
+        report = check_gradients(loss_fn, {"w": w})
         assert report.passed, report.worst
 
     def test_interior_matrix_in_matrix_vector_products(self):
@@ -509,7 +509,7 @@ class TestDeferredProducts:
                     ad.matmul(params["y"], h)]
             return ad.sum_over([ad.reduce_sum(ad.tanh(u)) for u in uses])
 
-        report = check_gradients(loss_fn, params, name="interior")
+        report = check_gradients(loss_fn, params)
         assert report.passed, report.worst
 
     def test_raising_backward_leaves_no_pending_terms(self):
